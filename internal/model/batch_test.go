@@ -10,10 +10,16 @@ import (
 )
 
 // batchTrainings extends the equivalence recipes with a reliability-enabled
-// one, so the batch path's hoisted failure expectation is golden-tested too.
+// one, so the batch path's hoisted failure expectation is golden-tested too,
+// and a roofline recipe with gradient and communication overlap, so the
+// per-class roofline maxima and the bucketed gradient-overlap scale are
+// covered as well.
 func batchTrainings() []Training {
 	trs := equivTrainings()
-	trs = append(trs, Training{Reliability: testRelSpec(), NumBatches: 100})
+	trs = append(trs,
+		Training{Reliability: testRelSpec(), NumBatches: 100},
+		Training{Roofline: true, GradOverlap: 0.8, CommOverlap: 0.3},
+	)
 	return trs
 }
 
@@ -23,11 +29,19 @@ func batchTrainings() []Training {
 // do not tile the system — EvaluateBatch must reproduce EvaluatePoint
 // bit-for-bit: same breakdown bits on success, same error message on
 // failure. Both the Prepared and the unprepared (dyn side-table) aggregate
-// paths are exercised.
+// paths are exercised, over the plain mapping space and over one widened
+// with context parallelism, interleaved pipelines and sequence parallelism.
+// LowerBound is checked against the same points: never above the rank, and
+// bit-equal to it wherever the MoE all-to-all term is zero.
 func TestEvaluateBatchBitIdenticalToScalar(t *testing.T) {
+	gqa, err := transformer.Variant{KVHeads: 8}.Apply(transformer.Megatron145B())
+	if err != nil {
+		t.Fatal(err)
+	}
 	models := []transformer.Model{
 		transformer.Megatron145B(),
 		transformer.GLaM(), // MoE: Eq. 9 and expert-sharded Eq. 11
+		gqa,                // GQA-8: the K/V-width CP exchange
 	}
 	sys := hardware.System{
 		Name: "batch-equiv", Accel: hardware.NvidiaA100(),
@@ -40,75 +54,103 @@ func TestEvaluateBatchBitIdenticalToScalar(t *testing.T) {
 	// so most mappings reject it — the error columns must agree too.
 	batches := []int{512, 768, 8191}
 
+	var priced, exactBounds int
 	for _, m := range models {
 		m := m
-		mappings := parallel.Enumerate(&sys, parallel.EnumerateOptions{
-			MaxTP: m.Heads, MaxPP: m.Layers, ExpertParallel: m.MoE(),
-		})
-		// A mapping that does not tile the system, spliced mid-stream so a
-		// poisoned run sits between healthy ones.
-		broken := parallel.Mapping{TPIntra: 4, DPInter: 128}
-		mappings = append(mappings[:len(mappings)/2],
-			append([]parallel.Mapping{broken}, mappings[len(mappings)/2:]...)...)
+		for _, wide := range []bool{false, true} {
+			opts := parallel.EnumerateOptions{MaxTP: m.Heads, MaxPP: m.Layers, ExpertParallel: m.MoE()}
+			if wide {
+				opts.MaxCP, opts.MaxVPP, opts.SequenceParallel = 4, 2, true
+			}
+			mappings := parallel.Enumerate(&sys, opts)
+			// A mapping that does not tile the system, spliced mid-stream so a
+			// poisoned run sits between healthy ones.
+			broken := parallel.Mapping{TPIntra: 4, DPInter: 128}
+			mappings = append(mappings[:len(mappings)/2],
+				append([]parallel.Mapping{broken}, mappings[len(mappings)/2:]...)...)
 
-		for ti, tr := range batchTrainings() {
-			for _, prepared := range []bool{true, false} {
-				sess, err := Compile(&m, &sys, tr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if prepared {
-					sess.Prepare(batches...)
-				}
-
-				var in BatchInput
-				for _, mp := range mappings {
-					for _, b := range batches {
-						in.Mappings = append(in.Mappings, mp)
-						in.Batches = append(in.Batches, b)
-						in.Microbatches = append(in.Microbatches, 0)
+			for ti, tr := range batchTrainings() {
+				for _, prepared := range []bool{true, false} {
+					sess, err := Compile(&m, &sys, tr, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				var out BatchOutput
-				if err := sess.EvaluateBatch(in, &out); err != nil {
-					t.Fatal(err)
-				}
+					if prepared {
+						sess.Prepare(batches...)
+					}
 
-				var want Breakdown
-				for i := range in.Mappings {
-					scalarErr := sess.EvaluatePoint(in.Mappings[i], in.Batches[i], in.Microbatches[i], &want)
-					id := in.Mappings[i].String()
-					if scalarErr != nil {
-						if out.Codes[i] == PointOK {
-							t.Fatalf("%s tr%d %s B=%d: scalar failed (%v), batch succeeded",
-								m.Name, ti, id, in.Batches[i], scalarErr)
+					var in BatchInput
+					for _, mp := range mappings {
+						for _, b := range batches {
+							in.Mappings = append(in.Mappings, mp)
+							in.Batches = append(in.Batches, b)
+							in.Microbatches = append(in.Microbatches, 0)
 						}
-						if out.Errs[i] == nil || out.Errs[i].Error() != scalarErr.Error() {
-							t.Fatalf("%s tr%d %s B=%d: error mismatch: scalar=%q batch=%v",
-								m.Name, ti, id, in.Batches[i], scalarErr, out.Errs[i])
+					}
+					var out BatchOutput
+					if err := sess.EvaluateBatch(in, &out); err != nil {
+						t.Fatal(err)
+					}
+
+					var want Breakdown
+					for i := range in.Mappings {
+						priced++
+						scalarErr := sess.EvaluatePoint(in.Mappings[i], in.Batches[i], in.Microbatches[i], &want)
+						lb, lbErr := sess.LowerBound(in.Mappings[i], in.Batches[i], in.Microbatches[i])
+						id := in.Mappings[i].String()
+						if scalarErr != nil {
+							if out.Codes[i] == PointOK {
+								t.Fatalf("%s tr%d %s B=%d: scalar failed (%v), batch succeeded",
+									m.Name, ti, id, in.Batches[i], scalarErr)
+							}
+							if out.Errs[i] == nil || out.Errs[i].Error() != scalarErr.Error() {
+								t.Fatalf("%s tr%d %s B=%d: error mismatch: scalar=%q batch=%v",
+									m.Name, ti, id, in.Batches[i], scalarErr, out.Errs[i])
+							}
+							if lbErr == nil || lbErr.Error() != scalarErr.Error() {
+								t.Fatalf("%s tr%d %s B=%d: error mismatch: scalar=%q bound=%v",
+									m.Name, ti, id, in.Batches[i], scalarErr, lbErr)
+							}
+							continue
 						}
-						continue
-					}
-					if !out.Codes[i].OK() {
-						t.Fatalf("%s tr%d %s B=%d: scalar succeeded, batch code=%v err=%v",
-							m.Name, ti, id, in.Batches[i], out.Codes[i], out.Errs[i])
-					}
-					if out.Breakdowns[i] != want {
-						t.Fatalf("%s tr%d %s B=%d: batch breakdown diverged bit-wise from scalar:\nbatch:  %+v\nscalar: %+v",
-							m.Name, ti, id, in.Batches[i], out.Breakdowns[i], want)
-					}
-					if got := float64(want.PerBatch()); out.PerBatchSeconds[i] != got {
-						t.Fatalf("%s tr%d %s B=%d: PerBatchSeconds column %v != %v",
-							m.Name, ti, id, in.Batches[i], out.PerBatchSeconds[i], got)
-					}
-					if got := float64(want.ExpectedTotalTime()); out.ExpectedTotalSeconds[i] != got {
-						t.Fatalf("%s tr%d %s B=%d: ExpectedTotalSeconds column %v != %v",
-							m.Name, ti, id, in.Batches[i], out.ExpectedTotalSeconds[i], got)
+						if !out.Codes[i].OK() {
+							t.Fatalf("%s tr%d %s B=%d: scalar succeeded, batch code=%v err=%v",
+								m.Name, ti, id, in.Batches[i], out.Codes[i], out.Errs[i])
+						}
+						if out.Breakdowns[i] != want {
+							t.Fatalf("%s tr%d %s B=%d: batch breakdown diverged bit-wise from scalar:\nbatch:  %+v\nscalar: %+v",
+								m.Name, ti, id, in.Batches[i], out.Breakdowns[i], want)
+						}
+						if got := float64(want.PerBatch()); out.PerBatchSeconds[i] != got {
+							t.Fatalf("%s tr%d %s B=%d: PerBatchSeconds column %v != %v",
+								m.Name, ti, id, in.Batches[i], out.PerBatchSeconds[i], got)
+						}
+						rank := float64(want.ExpectedTotalTime())
+						if out.ExpectedTotalSeconds[i] != rank {
+							t.Fatalf("%s tr%d %s B=%d: ExpectedTotalSeconds column %v != %v",
+								m.Name, ti, id, in.Batches[i], out.ExpectedTotalSeconds[i], rank)
+						}
+						if lbErr != nil {
+							t.Fatalf("%s tr%d %s B=%d: scalar succeeded, bound failed: %v",
+								m.Name, ti, id, in.Batches[i], lbErr)
+						}
+						if lb > rank {
+							t.Fatalf("%s tr%d %s B=%d: bound %.17g above rank %.17g",
+								m.Name, ti, id, in.Batches[i], lb, rank)
+						}
+						if want.MoEComm == 0 {
+							exactBounds++
+							if lb != rank {
+								t.Fatalf("%s tr%d %s B=%d: bound %.17g != rank %.17g with no MoE term",
+									m.Name, ti, id, in.Batches[i], lb, rank)
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+	t.Logf("%d priced cells, %d exact-bound checks", priced, exactBounds)
 }
 
 // TestEvaluateBatchExplicitMicrobatches pins the microbatch column: raw

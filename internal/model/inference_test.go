@@ -169,31 +169,58 @@ func TestInferenceLowerBound(t *testing.T) {
 func TestInferenceValidation(t *testing.T) {
 	m := infModel()
 	sys := gqaCPSystem()
-	bad := []Inference{
-		{PromptLen: 0, GenTokens: 8},
-		{PromptLen: 8, GenTokens: 0},
-		{PromptLen: 2000, GenTokens: 64}, // context exceeds SeqLen
+	bad := []struct {
+		inf  Inference
+		want string
+	}{
+		{Inference{PromptLen: 0, GenTokens: 8}, "model: prompt length 0 must be at least 1"},
+		{Inference{PromptLen: 8, GenTokens: 0}, "model: generated token count 0 must be at least 1"},
+		{Inference{PromptLen: 2000, GenTokens: 64}, // context exceeds SeqLen
+			"model: context 2064 (prompt 2000 + generate 64) exceeds sequence length 2048"},
 	}
-	for _, inf := range bad {
-		if _, err := CompileInference(&m, &sys, Training{}, nil, inf); err == nil {
-			t.Errorf("CompileInference(%+v) accepted, want error", inf)
+	for _, c := range bad {
+		if _, err := CompileInference(&m, &sys, Training{}, nil, c.inf); err == nil || err.Error() != c.want {
+			t.Errorf("CompileInference(%+v) error %v, want %q", c.inf, err, c.want)
 		}
 	}
 
-	sess, err := CompileInference(&m, &sys, Training{}, nil, Inference{PromptLen: 1, GenTokens: 1})
+	// Two heads and two layers put every model-fit bound within reach of
+	// the 2x2 machine.
+	tiny := m
+	tiny.Heads, tiny.Layers = 2, 2
+	sess, err := CompileInference(&tiny, &sys, Training{}, nil, Inference{PromptLen: 1, GenTokens: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dp4 := parallel.Mapping{DPIntra: 2, DPInter: 2}
+	points := []struct {
+		name  string
+		mp    parallel.Mapping
+		batch int
+		want  string
+	}{
+		{"mapping does not tile", parallel.Mapping{}, 4,
+			"parallel: mapping TP1x1 PP1x1 DP1x1 uses 1 accelerators per node, node has 2"},
+		{"batch 0", dp4, 0, "model: global batch 0 must be positive"},
+		{"batch not divisible by DP", dp4, 3, "model: global batch 3 not divisible by 4 data-parallel replicas"},
+		{"TP exceeds heads", parallel.Mapping{TPIntra: 2, TPInter: 2}, 4,
+			"model: TP degree 4 exceeds 2 attention heads"},
+		{"PP exceeds layers", parallel.Mapping{PPIntra: 2, PPInter: 2}, 4,
+			"model: PP degree 4 exceeds 2 layers"},
+		// The compiled prefill model's sequence is the prompt: CP cannot
+		// exceed it.
+		{"CP exceeds prompt", parallel.Mapping{CPIntra: 2, DPInter: 2}, 4,
+			"model: CP degree 2 exceeds prompt length 1"},
+		{"VPP without PP", parallel.Mapping{DPIntra: 2, DPInter: 2, VPP: 2}, 4,
+			"model: virtual pipeline depth 2 requires PP > 1"},
+		{"PP x VPP exceeds layers", parallel.Mapping{PPIntra: 2, DPInter: 2, VPP: 2}, 4,
+			"model: PP 2 x VPP 2 exceeds 2 layers"},
+	}
 	var bd InferenceBreakdown
-	if err := sess.EvaluateInferencePoint(parallel.Mapping{}, 0, &bd); err == nil {
-		t.Error("batch 0 accepted, want error")
-	}
-	if err := sess.EvaluateInferencePoint(parallel.Mapping{DPInter: 2}, 3, &bd); err == nil {
-		t.Error("batch 3 with DP 2 accepted, want error")
-	}
-	// The compiled prefill model's sequence is the prompt: CP cannot exceed it.
-	if err := sess.EvaluateInferencePoint(parallel.Mapping{CPIntra: 2}, 4, &bd); err == nil {
-		t.Error("CP 2 over a 1-token prompt accepted, want error")
+	for _, c := range points {
+		if err := sess.EvaluateInferencePoint(c.mp, c.batch, &bd); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -158,10 +158,17 @@ func TestSessionExplicitMicrobatches(t *testing.T) {
 }
 
 // TestSessionValidation pins the per-point error checks the session must
-// re-run for every point (the scenario-level ones are hoisted to Compile).
+// re-run for every point (the scenario-level ones are hoisted to Compile),
+// message for message, and requires Estimator.Validate to report the same
+// text for the same point.
 func TestSessionValidation(t *testing.T) {
 	m := transformer.Megatron145B()
 	sys := hardware.CaseStudy1System()
+	// A two-token model on a 2x2 machine reaches the CP bound.
+	short := infModel()
+	short.SeqLen = 2
+	small := gqaCPSystem()
+
 	sess, err := Compile(&m, &sys, Training{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -173,18 +180,44 @@ func TestSessionValidation(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
+		m     *transformer.Model
+		sys   *hardware.System
 		mp    parallel.Mapping
 		batch int
 		nub   int
+		want  string
 	}{
-		{"mapping does not tile", parallel.Mapping{TPIntra: 4, DPInter: 128}, 8192, 0},
-		{"batch not divisible by DP", good, 8191, 0},
-		{"microbatches do not divide", good, 8192, 3},
-		{"PP exceeds layers", parallel.Mapping{TPIntra: 8, PPInter: 128}, 8192, 0},
+		{"mapping does not tile", &m, &sys, parallel.Mapping{TPIntra: 4, DPInter: 128}, 8192, 0,
+			"parallel: mapping TP4x1 PP1x1 DP1x128 uses 4 accelerators per node, node has 8"},
+		{"batch not divisible by DP", &m, &sys, good, 8191, 0,
+			"parallel: global batch 8191 not divisible by DP degree 64"},
+		{"microbatches do not divide", &m, &sys, good, 8192, 3,
+			"parallel: per-replica batch 128 not divisible by 3 microbatches"},
+		{"batch error before fit error", &m, &sys, parallel.Mapping{TPIntra: 8, PPInter: 128}, 8191, 0,
+			"parallel: per-replica batch 8191 not divisible by 128 microbatches"},
+		{"TP exceeds heads", &m, &sys, parallel.Mapping{TPIntra: 8, TPInter: 16, DPInter: 8}, 8192, 0,
+			"model: TP degree 128 exceeds 96 attention heads"},
+		{"PP exceeds layers", &m, &sys, parallel.Mapping{TPIntra: 8, PPInter: 128}, 8192, 0,
+			"model: PP degree 128 exceeds 80 layers"},
+		{"CP exceeds sequence", &short, &small, parallel.Mapping{CPIntra: 2, CPInter: 2}, 4, 0,
+			"model: CP degree 4 exceeds sequence length 2"},
+		{"VPP without PP", &m, &sys, parallel.Mapping{TPIntra: 8, DPInter: 128, VPP: 2}, 8192, 0,
+			"model: virtual pipeline depth 2 requires PP > 1"},
+		{"PP x VPP exceeds layers", &m, &sys, parallel.Mapping{TPIntra: 8, PPInter: 64, DPInter: 2, VPP: 2}, 8192, 0,
+			"model: PP 64 x VPP 2 exceeds 80 layers"},
 	}
 	for _, c := range cases {
-		if err := sess.EvaluatePoint(c.mp, c.batch, c.nub, &out); err == nil {
-			t.Errorf("%s: no error", c.name)
+		cs, err := Compile(c.m, c.sys, Training{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.EvaluatePoint(c.mp, c.batch, c.nub, &out); err == nil || err.Error() != c.want {
+			t.Errorf("%s: EvaluatePoint error %v, want %q", c.name, err, c.want)
+		}
+		e := Estimator{Model: c.m, System: c.sys, Mapping: c.mp,
+			Training: Training{Batch: parallel.Batch{Global: c.batch, Microbatches: c.nub}}}
+		if err := e.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Estimator.Validate error %v, want %q", c.name, err, c.want)
 		}
 	}
 	if _, err := Compile(&m, nil, Training{}, nil); err == nil {
