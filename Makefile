@@ -15,12 +15,15 @@ test:
 	$(GO) test ./...
 
 ## verify is the tier-1 gate: compile, vet, full test suite (in a random
-## test order to keep order dependencies out), and the amped-serve
-## end-to-end smoke check.
+## test order to keep order dependencies out), the same for the benchmark
+## harness (its own module, which the root ./... skips, so an API change
+## that breaks it fails here), and the amped-serve end-to-end smoke check.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 	$(MAKE) serve-smoke
 
 ## serve-smoke builds the real amped-serve binary, starts it on an

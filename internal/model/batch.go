@@ -2,11 +2,9 @@ package model
 
 import (
 	"errors"
+	"fmt"
 
-	"amped/internal/faults"
 	"amped/internal/parallel"
-	"amped/internal/topology"
-	"amped/internal/units"
 )
 
 // BatchInput is a structure-of-arrays list of design points against one
@@ -30,11 +28,11 @@ func (in *BatchInput) Len() int { return len(in.Mappings) }
 // validate checks the column lengths agree.
 func (in *BatchInput) validate() error {
 	if len(in.Batches) != len(in.Mappings) {
-		return errorsf("model: batch input columns disagree: %d mappings, %d batches",
+		return fmt.Errorf("model: batch input columns disagree: %d mappings, %d batches",
 			len(in.Mappings), len(in.Batches))
 	}
 	if in.Microbatches != nil && len(in.Microbatches) != len(in.Mappings) {
-		return errorsf("model: batch input columns disagree: %d mappings, %d microbatch counts",
+		return fmt.Errorf("model: batch input columns disagree: %d mappings, %d microbatch counts",
 			len(in.Mappings), len(in.Microbatches))
 	}
 	return nil
@@ -56,8 +54,9 @@ const (
 	PointBadMapping
 	// PointBadBatch marks a batch schedule that does not divide the mapping.
 	PointBadBatch
-	// PointBadModelFit marks TP exceeding the head count or PP exceeding the
-	// layer count.
+	// PointBadModelFit marks a mapping the model cannot fill: TP above the
+	// head count, PP above the layer count, CP above the sequence length or
+	// a bad interleaved-pipeline depth.
 	PointBadModelFit
 	// PointNonFinite marks an evaluation that produced a non-finite time
 	// (unusable link or degenerate mapping); the breakdown column keeps the
@@ -162,121 +161,6 @@ func (o *BatchOutput) fail(i int, code PointCode, err error) {
 	o.ExpectedTotalSeconds[i] = 0
 }
 
-// mappingRun holds everything EvaluateBatch hoists out of the inner loop
-// for one run of consecutive points sharing a mapping: validation verdicts,
-// the normalized degrees, the collective-topology constants of Eq. 6/10/11
-// and the fully batch-independent gradient all-reduce and reliability
-// expectations.
-type mappingRun struct {
-	err          error // mapping does not tile the system (poisons the run)
-	fitErr       error // TP > heads, PP > layers, CP > seq len or bad VPP
-	mpn          parallel.Mapping
-	workers      float64
-	workersInt   int
-	pp           int
-	dp           int
-	tpF          float64 // total TP degree, the roofline norm-class factor
-	cpF          float64 // total CP degree (1.0 when disengaged)
-	vppF         float64 // virtual-pipeline chunk count (1.0 when plain)
-	rPP          float64 // BubbleRatio · (N_PP − 1), Eq. 8's run constant
-	moeActive    bool
-	ppIntraOn    bool
-	ppInterOn    bool
-	tpIntraOn    bool
-	tpInterOn    bool
-	cpOn         bool
-	cpIntraOn    bool
-	cpInterOn    bool
-	tpIntraLatSt float64 // link latency · topology steps, hoisted Eq. 6 term
-	tpIntraFac   float64
-	tpInterLatSt float64
-	tpInterFac   float64
-	cpIntraLatSt float64 // same hoist for the context-parallel K/V exchange
-	cpIntraFac   float64
-	cpInterLatSt float64
-	cpInterFac   float64
-	gradIntra    float64 // Eq. 10/11 are batch-independent: hoisted whole
-	gradInter    float64
-	rel          faults.Expectation
-}
-
-// prepareRun validates a mapping once and precomputes its run constants.
-func (s *Session) prepareRun(mp parallel.Mapping) mappingRun {
-	var r mappingRun
-	if err := mp.Validate(s.sys); err != nil {
-		r.err = err
-		return r
-	}
-	mpn := mp.Normalized()
-	if tp := mp.TP(); tp > s.model.Heads {
-		r.fitErr = errorsf("model: TP degree %d exceeds %d attention heads", tp, s.model.Heads)
-	} else if pp := mp.PP(); pp > s.model.Layers {
-		r.fitErr = errorsf("model: PP degree %d exceeds %d layers", pp, s.model.Layers)
-	} else if cp := mp.CP(); cp > s.model.SeqLen {
-		r.fitErr = errorsf("model: CP degree %d exceeds sequence length %d", cp, s.model.SeqLen)
-	} else if vpp := mpn.VPP; vpp > 1 && mpn.PP() <= 1 {
-		r.fitErr = errorsf("model: virtual pipeline depth %d requires PP > 1", vpp)
-	} else if vpp > 1 && mpn.PP()*vpp > s.model.Layers {
-		r.fitErr = errorsf("model: PP %d x VPP %d exceeds %d layers", mpn.PP(), vpp, s.model.Layers)
-	}
-	r.mpn = mpn
-	r.workersInt = mpn.Workers()
-	r.workers = float64(r.workersInt)
-	r.pp = mpn.PP()
-	r.dp = mpn.DP()
-	r.tpF = float64(mpn.TP())
-	r.cpF = float64(mpn.CP())
-	r.vppF = float64(mpn.VPP)
-	if r.pp > 1 {
-		r.rPP = s.tr.BubbleRatio * float64(r.pp-1)
-		r.ppIntraOn = mpn.PPIntra > 1
-		r.ppInterOn = mpn.PPInter > 1
-	}
-	r.moeActive = s.model.MoE() && mpn.ExpertParallel
-	if mpn.TPIntra > 1 {
-		r.tpIntraOn = true
-		r.tpIntraLatSt = float64(s.intra.Latency) * float64(topology.Steps(s.arKind, mpn.TPIntra))
-		r.tpIntraFac = topology.Factor(s.arKind, mpn.TPIntra)
-	}
-	if mpn.TPInter > 1 {
-		r.tpInterOn = true
-		r.tpInterLatSt = float64(s.inter.Latency) * float64(topology.Steps(s.arKind, mpn.TPInter))
-		r.tpInterFac = topology.Factor(s.arKind, mpn.TPInter)
-	}
-	if mpn.CP() > 1 {
-		r.cpOn = true
-		if mpn.CPIntra > 1 {
-			r.cpIntraOn = true
-			r.cpIntraLatSt = float64(s.intra.Latency) * float64(topology.Steps(s.arKind, mpn.CPIntra))
-			r.cpIntraFac = topology.Factor(s.arKind, mpn.CPIntra)
-		}
-		if mpn.CPInter > 1 {
-			r.cpInterOn = true
-			r.cpInterLatSt = float64(s.inter.Latency) * float64(topology.Steps(s.arKind, mpn.CPInter))
-			r.cpInterFac = topology.Factor(s.arKind, mpn.CPInter)
-		}
-	}
-	if mpn.DP() > 1 {
-		shard := 1 / float64(mpn.TP()*mpn.PP())
-		ngSum := s.gradParamsPlain
-		if mpn.ExpertParallel && s.model.MoE() {
-			ngSum = s.gradParamsEP
-		}
-		ngSum = (ngSum + s.gradEmbParams) * shard
-		r.gradIntra = s.allReduceSum(mpn.DPIntra, ngSum, s.intra)
-		r.gradInter = s.allReduceSum(mpn.DPInter, ngSum, s.inter)
-	}
-	if s.relSpec != nil {
-		nodes := faults.NodesFor(r.workersInt, s.accelsPerNode)
-		r.rel = s.relSpec.Expect(faults.Cluster{
-			Workers: r.workersInt,
-			Nodes:   nodes,
-			Links:   nodes * s.nicsPerNode,
-		}, s.ckptStateBytes)
-	}
-	return r
-}
-
 // aggCacheSize bounds the per-call aggregate cache; batches beyond it fall
 // back to the session's own lookup (still correct, just one map access).
 const aggCacheSize = 32
@@ -308,13 +192,12 @@ func (c *aggCache) get(s *Session, batch int) batchAgg {
 
 // EvaluateBatch evaluates a whole chunk of design points against the
 // compiled scenario in one call — the batched sibling of EvaluatePoint.
-// Per-point results are bit-identical to the scalar path (the same float
-// operations run in the same order on the same hoisted constants); what
-// changes is the dispatch: config resolution, mapping validation, the
-// collective-topology constants, the batch-independent gradient all-reduce
-// and the reliability expectation are resolved once per run of consecutive
-// equal mappings, and the Eq. 2 per-batch aggregate once per distinct batch
-// per call. Feed it mapping-major columns (the sweep's natural order) and
+// Per-point results are bit-identical to the scalar path, because both run
+// the same pricer on the same prepared mapping run; what changes is the
+// dispatch: the run (mapping validation, the collective-topology constants,
+// the batch-independent gradient all-reduce and the reliability
+// expectation) is resolved once per run of consecutive equal mappings, and
+// the Eq. 2 per-batch aggregate once per distinct batch per call. Feed it mapping-major columns (the sweep's natural order) and
 // the amortized per-point cost drops well below the scalar path's.
 //
 // The error return covers malformed input columns only; per-point failures
@@ -334,21 +217,6 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 		return nil
 	}
 
-	// Scenario-wide hoists: every load the scalar path repeats per point,
-	// resolved once per call. Values are identical; only the loads move.
-	tr := s.tr
-	bf := tr.BackwardCommFactor
-	exposed := 1 - tr.CommOverlap
-	commScale := (1 + bf) * exposed
-	zeroScale := tr.ZeROOverhead * (1 + bf) * exposed
-	gradOv := tr.GradOverlap
-	bwIntra := float64(s.intra.Bandwidth)
-	bwInter := float64(s.inter.Bandwidth)
-	latIntra := float64(s.intra.Latency)
-	latInter := float64(s.inter.Latency)
-	numBatches := tr.NumBatches
-	relOn := s.relSpec != nil
-
 	var aggs aggCache
 	var run mappingRun
 	for i := 0; i < n; i++ {
@@ -356,156 +224,26 @@ func (s *Session) EvaluateBatch(in BatchInput, out *BatchOutput) error {
 		if i == 0 || mp != in.Mappings[i-1] {
 			run = s.prepareRun(mp)
 		}
-		if run.err != nil {
-			out.fail(i, PointBadMapping, run.err)
-			continue
-		}
 		nub := 0
 		if in.Microbatches != nil {
 			nub = in.Microbatches[i]
 		}
-		// Inline of parallel.Batch.Validate + MicrobatchesOrDefault +
-		// Microbatch over the run's pre-normalized degrees — the integer
-		// schedule math without the repeated Mapping normalizations. The
-		// scalar path checks the batch before the model-fit bounds, so a
-		// point failing both reports the batch error; keep that precedence.
-		// Failures take the slow path through the real Validate so the error
-		// matches the scalar path's byte for byte.
-		g := in.Batches[i]
-		var per, nubD int
-		bad := g <= 0 || nub < 0 || g%run.dp != 0
-		if !bad {
-			per = g / run.dp
-			nubD = nub
-			if nubD <= 0 {
-				nubD = run.pp
-			}
-			if nubD > per && per > 0 {
-				nubD = per
-			}
-			if nubD < 1 {
-				nubD = 1
-			}
-			bad = per%nubD != 0
-		}
-		if bad {
-			out.fail(i, PointBadBatch,
-				parallel.Batch{Global: g, Microbatches: nub}.Validate(run.mpn))
-			continue
-		}
-		if run.fitErr != nil {
-			out.fail(i, PointBadModelFit, run.fitErr)
-			continue
-		}
-
-		ub := float64(per) / float64(nubD)
-		eff := s.eff.Eff(ub)
-		nubF := float64(nubD)
-
-		// Eq. 2–4, factored exactly as the scalar path.
-		cMAC := 1 / (s.peakMAC * eff)
-		agg := aggs.get(s, g)
-		var ufTotal float64
-		if s.roofline {
-			ufTotal = s.rooflineUF(&agg, cMAC, run.tpF, run.mpn.SequenceParallel)
-		} else {
-			ufTotal = agg.macSum*cMAC*s.macScale + agg.nonlinSum*s.cNonlin*s.nonlinScale
-		}
-		uwTotal := s.updateParams * cMAC * s.macScale
-		ubTotal := tr.BackwardComputeFactor * ufTotal
-
-		// Eq. 5–7, 9 on the per-point microbatch, over hoisted run constants.
-		bEff := ub
-		nActTP := 2 * bEff * s.seqHidden / run.cpF
-		var tpIntra, tpInter float64
-		if run.tpIntraOn {
-			tpIntra = s.layersF * (run.tpIntraLatSt + nActTP*s.actBits/bwIntra*run.tpIntraFac)
-		}
-		if run.tpInterOn {
-			tpInter = s.layersF * (run.tpInterLatSt + nActTP*s.actBits/bwInter*run.tpInterFac)
-		}
-		var ppComm float64
-		if run.pp > 1 {
-			nActPP := bEff * s.seqHidden / run.cpF
-			var ppI, ppE float64
-			if run.ppIntraOn {
-				ppI = latIntra + nActPP*s.actBits/bwIntra
-			}
-			if run.ppInterOn {
-				ppE = latInter + nActPP*s.actBits/bwInter
-			}
-			ppComm = max2(ppI, ppE) * run.vppF
-		}
-		var cpComm float64
-		if run.cpOn {
-			nActCP := 2 * bEff * s.seqHidden * s.kvFrac / run.cpF
-			var cpI, cpE float64
-			if run.cpIntraOn {
-				cpI = run.cpIntraLatSt + nActCP*s.actBits/bwIntra*run.cpIntraFac
-			}
-			if run.cpInterOn {
-				cpE = run.cpInterLatSt + nActCP*s.actBits/bwInter*run.cpInterFac
-			}
-			cpComm = s.layersF * (cpI + cpE)
-		}
-		var moe float64
-		if run.moeActive {
-			moe = s.moeLayers * (s.moeLatTerm + bEff*s.seqHidden*s.moeVolCoeff/run.cpF)
-		}
-		fwdTotal := tpIntra + tpInter + ppComm + cpComm + moe
-
-		gradIntra, gradInter := run.gradIntra, run.gradInter
-		if gradOv > 0 {
-			if g := gradIntra + gradInter; g > 0 {
-				scale := gradOverlapScale(gradOv, g, ubTotal/run.workers, s.gradLatCount)
-				gradIntra *= scale
-				gradInter *= scale
-			}
-		}
-
-		// Eq. 8 over the hoisted R·(N_PP−1).
-		var bubble float64
-		if run.pp > 1 && nubF > 0 {
-			step := (ufTotal+ubTotal)/run.workers + commScale*fwdTotal
-			bubble = run.rPP / nubF * step / run.vppF
-		}
-		zeroExtra := zeroScale * fwdTotal
-
 		bd := &out.Breakdowns[i]
-		*bd = Breakdown{
-			ComputeForward:  units.Seconds(ufTotal / run.workers),
-			ComputeBackward: units.Seconds(ubTotal / run.workers),
-			WeightUpdate:    units.Seconds(uwTotal / run.workers),
-			TPIntraComm:     units.Seconds(commScale * tpIntra),
-			TPInterComm:     units.Seconds(commScale * tpInter),
-			PPComm:          units.Seconds(commScale * ppComm),
-			CPComm:          units.Seconds(commScale * cpComm),
-			MoEComm:         units.Seconds(commScale * moe),
-			ZeROComm:        units.Seconds(zeroExtra),
-			GradIntraComm:   units.Seconds(gradIntra),
-			GradInterComm:   units.Seconds(gradInter),
-			Bubble:          units.Seconds(bubble),
-			Microbatch:      ub,
-			Efficiency:      eff,
-			Workers:         run.workersInt,
-			NumBatches:      numBatches,
-			ModelFLOPs:      agg.flops,
-		}
-		if relOn {
-			bd.Reliability = run.rel
-		}
-		if !finite(bd) {
+		switch code, err := s.price(&run, in.Batches[i], nub, &aggs, false, bd); code {
+		case PointOK:
+			out.Codes[i] = PointOK
+			out.Errs[i] = nil
+			out.PerBatchSeconds[i] = float64(bd.PerBatch())
+			out.ExpectedTotalSeconds[i] = float64(bd.ExpectedTotalTime())
+		case PointNonFinite:
 			// Keep the partial breakdown, like Session.Evaluate does.
 			out.Codes[i] = PointNonFinite
-			out.Errs[i] = errNonFinite
+			out.Errs[i] = err
 			out.PerBatchSeconds[i] = 0
 			out.ExpectedTotalSeconds[i] = 0
-			continue
+		default:
+			out.fail(i, code, err)
 		}
-		out.Codes[i] = PointOK
-		out.Errs[i] = nil
-		out.PerBatchSeconds[i] = float64(bd.PerBatch())
-		out.ExpectedTotalSeconds[i] = float64(bd.ExpectedTotalTime())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 
@@ -31,13 +32,13 @@ type Inference struct {
 // sequence length.
 func (inf Inference) Validate(m *transformer.Model) error {
 	if inf.PromptLen < 1 {
-		return errorsf("model: prompt length %d must be at least 1", inf.PromptLen)
+		return fmt.Errorf("model: prompt length %d must be at least 1", inf.PromptLen)
 	}
 	if inf.GenTokens < 1 {
-		return errorsf("model: generated token count %d must be at least 1", inf.GenTokens)
+		return fmt.Errorf("model: generated token count %d must be at least 1", inf.GenTokens)
 	}
 	if ctx := inf.PromptLen + inf.GenTokens; ctx > m.SeqLen {
-		return errorsf("model: context %d (prompt %d + generate %d) exceeds sequence length %d",
+		return fmt.Errorf("model: context %d (prompt %d + generate %d) exceeds sequence length %d",
 			ctx, inf.PromptLen, inf.GenTokens, m.SeqLen)
 	}
 	return nil
@@ -99,6 +100,7 @@ func CompileInference(m *transformer.Model, sys *hardware.System, tr Training, e
 	if err != nil {
 		return nil, err
 	}
+	pre.prefill = true
 	return &InferenceSession{
 		pre:   pre,
 		full:  m,
@@ -160,19 +162,7 @@ func (s *InferenceSession) computeDecodeAgg(batch int) batchAgg {
 		a.macSum += float64(macs)
 		a.nonlinSum += float64(nonlin)
 		for _, op := range m.DecodeLayerOps(l, batch, s.kmean) {
-			var k int
-			switch op.Sublayer {
-			case transformer.Attention:
-				k = clsAttn
-			case transformer.MLP:
-				k = clsMLPDense
-				if m.IsMoELayer(l) {
-					k = clsMLPMoE
-				}
-			default:
-				k = clsNorms
-			}
-			c := &a.cls[k]
+			c := &a.cls[opClassOf(m, l, op.Sublayer)]
 			c.mac += float64(op.MACs)
 			c.nonlin += float64(op.Nonlin)
 			c.act += float64(op.ActElems) + float64(op.KVElems)
@@ -319,7 +309,7 @@ func (b *InferenceBreakdown) Components() []Component {
 
 // String summarizes the breakdown.
 func (b *InferenceBreakdown) String() string {
-	return sprintf("TTFT %v, %v/token, %.1f tok/s (batch %d, eff %.1f%%)",
+	return fmt.Sprintf("TTFT %v, %v/token, %.1f tok/s (batch %d, eff %.1f%%)",
 		b.TTFT(), b.PerToken(), b.TokensPerSecond(), b.GlobalBatch, b.Efficiency*100)
 }
 
@@ -372,158 +362,70 @@ func (s *InferenceSession) Evaluate(mp parallel.Mapping, batch int) (*InferenceB
 }
 
 // evaluateInf is the shared body behind EvaluateInferencePoint and
-// LowerBound. Both phases reuse the prefill session's hoists; the decode
-// phase re-runs the forward communication formulas with the sequence
-// collapsed to the single new token. With relaxed set the MoE terms are
-// kept at exactly 0.0, relaxing the point into the admissible bound.
+// LowerBound. Both phases run the kernel's forward pricing on one prepared
+// run of the prefill session: prefill at the prompt's s·h width, decode with
+// the sequence collapsed to the single new token (width h). With relaxed
+// set the MoE terms are kept at exactly 0.0, relaxing the point into the
+// admissible bound.
 func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *InferenceBreakdown, relaxed bool) error {
 	p := s.pre
-	if err := mp.Validate(p.sys); err != nil {
-		return err
+	r := p.prepareRun(mp)
+	if r.err != nil {
+		return r.err
 	}
-	mpn := mp.Normalized()
-	dp := mpn.DP()
 	if batch <= 0 {
-		return errorsf("model: global batch %d must be positive", batch)
+		return fmt.Errorf("model: global batch %d must be positive", batch)
 	}
-	if batch%dp != 0 {
-		return errorsf("model: global batch %d not divisible by %d data-parallel replicas", batch, dp)
+	if batch%r.dp != 0 {
+		return fmt.Errorf("model: global batch %d not divisible by %d data-parallel replicas", batch, r.dp)
 	}
-	if tp := mpn.TP(); tp > p.model.Heads {
-		return errorsf("model: TP degree %d exceeds %d attention heads", tp, p.model.Heads)
-	}
-	if pp := mpn.PP(); pp > p.model.Layers {
-		return errorsf("model: PP degree %d exceeds %d layers", pp, p.model.Layers)
-	}
-	// The prefill model's SeqLen is the prompt length: context parallelism
-	// shards prompt tokens, so its degree is bounded by the prompt.
-	if cp := mpn.CP(); cp > p.model.SeqLen {
-		return errorsf("model: CP degree %d exceeds prompt length %d", cp, p.model.SeqLen)
-	}
-	if vpp := mpn.VPP; vpp > 1 {
-		if pp := mpn.PP(); pp <= 1 {
-			return errorsf("model: virtual pipeline depth %d requires PP > 1", vpp)
-		} else if pp*vpp > p.model.Layers {
-			return errorsf("model: PP %d x VPP %d exceeds %d layers", pp, vpp, p.model.Layers)
-		}
+	if r.fitErr != nil {
+		return r.fitErr
 	}
 
-	workers := float64(mpn.Workers())
-	ppF := float64(mpn.PP())
-	cpF := float64(mpn.CP())
-	vppF := float64(mpn.VPP)
-	tpF := float64(mpn.TP())
-	br := float64(batch / dp)
+	br := float64(batch / r.dp)
 	eff := p.eff.Eff(br)
 	cMAC := 1 / (p.peakMAC * eff)
 	exposed := 1 - p.tr.CommOverlap
 
 	// Prefill: the training forward pass at the prompt length, priced by the
-	// inner session's aggregate (roofline or pure-FLOP, identically).
+	// inner session's aggregate. The first token crosses every stage
+	// boundary; interleaving does not shorten a single pass's traversal.
 	aggP := p.agg(batch)
-	var ufPre float64
-	if p.roofline {
-		ufPre = p.rooflineUF(&aggP, cMAC, tpF, mpn.SequenceParallel)
-	} else {
-		ufPre = aggP.macSum*cMAC*p.macScale + aggP.nonlinSum*p.cNonlin*p.nonlinScale
-	}
+	ufPre := p.forwardCompute(&aggP, cMAC, &r)
+	pre := p.forwardComm(&r, br, p.seqHidden, relaxed)
 
-	nActTP := 2 * br * p.seqHidden / cpF
-	tpIntraPre := p.layersF * allReduceTime(p.arKind, mpn.TPIntra, nActTP, p.actBits, p.intra)
-	tpInterPre := p.layersF * allReduceTime(p.arKind, mpn.TPInter, nActTP, p.actBits, p.inter)
-
-	var ppPre float64
-	if mpn.PP() > 1 {
-		nActPP := br * p.seqHidden / cpF
-		var ppI, ppE float64
-		if mpn.PPIntra > 1 {
-			ppI = float64(p.intra.Latency) + nActPP*p.actBits/float64(p.intra.Bandwidth)
-		}
-		if mpn.PPInter > 1 {
-			ppE = float64(p.inter.Latency) + nActPP*p.actBits/float64(p.inter.Bandwidth)
-		}
-		// The first token crosses every stage boundary; interleaving does not
-		// shorten a single pass's traversal.
-		ppPre = max2(ppI, ppE) * (ppF - 1)
-	}
-
-	var cpPre float64
-	if mpn.CP() > 1 {
-		nActCP := 2 * br * p.seqHidden * p.kvFrac / cpF
-		cpPre = p.layersF * (allReduceTime(p.arKind, mpn.CPIntra, nActCP, p.actBits, p.intra) +
-			allReduceTime(p.arKind, mpn.CPInter, nActCP, p.actBits, p.inter))
-	}
-
-	var moePre float64
-	if !relaxed && p.model.MoE() && mpn.ExpertParallel {
-		moePre = p.moeLayers * (p.moeLatTerm + br*p.seqHidden*p.moeVolCoeff/cpF)
-	}
-
-	// Decode: one token per sequence against the mean-depth cache. The
-	// communication formulas are the prefill ones with s·h collapsed to h.
+	// Decode: one token per sequence against the mean-depth cache. In the
+	// steady-state view, mirroring Eq. 7, concurrent decode waves keep the
+	// stages busy, so each step pays one boundary crossing (per virtual
+	// chunk), not the full traversal.
 	aggD := s.decodeAgg(batch)
-	var ufDec float64
-	if p.roofline {
-		ufDec = p.rooflineUF(&aggD, cMAC, tpF, mpn.SequenceParallel)
-	} else {
-		ufDec = aggD.macSum*cMAC*p.macScale + aggD.nonlinSum*p.cNonlin*p.nonlinScale
-	}
+	ufDec := p.forwardCompute(&aggD, cMAC, &r)
+	dec := p.forwardComm(&r, br, float64(s.full.Hidden), relaxed)
 
-	hid := float64(s.full.Hidden)
-	nActTPd := 2 * br * hid / cpF
-	tpIntraDec := p.layersF * allReduceTime(p.arKind, mpn.TPIntra, nActTPd, p.actBits, p.intra)
-	tpInterDec := p.layersF * allReduceTime(p.arKind, mpn.TPInter, nActTPd, p.actBits, p.inter)
-
-	var ppDec float64
-	if mpn.PP() > 1 {
-		nActPPd := br * hid / cpF
-		var ppI, ppE float64
-		if mpn.PPIntra > 1 {
-			ppI = float64(p.intra.Latency) + nActPPd*p.actBits/float64(p.intra.Bandwidth)
-		}
-		if mpn.PPInter > 1 {
-			ppE = float64(p.inter.Latency) + nActPPd*p.actBits/float64(p.inter.Bandwidth)
-		}
-		// Steady-state view, mirroring Eq. 7: concurrent decode waves keep
-		// the stages busy, so each step pays one boundary crossing (per
-		// virtual chunk), not the full traversal.
-		ppDec = max2(ppI, ppE) * vppF
-	}
-
-	var cpDec float64
-	if mpn.CP() > 1 {
-		nActCPd := 2 * br * hid * p.kvFrac / cpF
-		cpDec = p.layersF * (allReduceTime(p.arKind, mpn.CPIntra, nActCPd, p.actBits, p.intra) +
-			allReduceTime(p.arKind, mpn.CPInter, nActCPd, p.actBits, p.inter))
-	}
-
-	var moeDec float64
-	if !relaxed && p.model.MoE() && mpn.ExpertParallel {
-		moeDec = p.moeLayers * (p.moeLatTerm + br*hid*p.moeVolCoeff/cpF)
-	}
-
+	ppF := float64(r.pp)
 	*out = InferenceBreakdown{
-		PrefillCompute:     units.Seconds(ppF * ufPre / workers),
-		PrefillTPIntraComm: units.Seconds(exposed * tpIntraPre),
-		PrefillTPInterComm: units.Seconds(exposed * tpInterPre),
-		PrefillPPComm:      units.Seconds(exposed * ppPre),
-		PrefillCPComm:      units.Seconds(exposed * cpPre),
-		PrefillMoEComm:     units.Seconds(exposed * moePre),
-		DecodeCompute:      units.Seconds(ufDec / workers),
-		DecodeTPIntraComm:  units.Seconds(exposed * tpIntraDec),
-		DecodeTPInterComm:  units.Seconds(exposed * tpInterDec),
-		DecodePPComm:       units.Seconds(exposed * ppDec),
-		DecodeCPComm:       units.Seconds(exposed * cpDec),
-		DecodeMoEComm:      units.Seconds(exposed * moeDec),
+		PrefillCompute:     units.Seconds(ppF * ufPre / r.workers),
+		PrefillTPIntraComm: units.Seconds(exposed * pre.tpIntra),
+		PrefillTPInterComm: units.Seconds(exposed * pre.tpInter),
+		PrefillPPComm:      units.Seconds(exposed * (pre.ppHop * (ppF - 1))),
+		PrefillCPComm:      units.Seconds(exposed * pre.cp),
+		PrefillMoEComm:     units.Seconds(exposed * pre.moe),
+		DecodeCompute:      units.Seconds(ufDec / r.workers),
+		DecodeTPIntraComm:  units.Seconds(exposed * dec.tpIntra),
+		DecodeTPInterComm:  units.Seconds(exposed * dec.tpInter),
+		DecodePPComm:       units.Seconds(exposed * (dec.ppHop * r.vppF)),
+		DecodeCPComm:       units.Seconds(exposed * dec.cp),
+		DecodeMoEComm:      units.Seconds(exposed * dec.moe),
 		GlobalBatch:        batch,
 		BatchPerReplica:    br,
 		Efficiency:         eff,
-		Workers:            mpn.Workers(),
+		Workers:            r.workersInt,
 		PromptLen:          s.inf.PromptLen,
 		GenTokens:          s.inf.GenTokens,
 		PrefillFLOPs:       units.FLOPs(aggP.macSum * units.FLOPsPerMAC),
 		DecodeFLOPs:        aggD.flops,
-		KVBytesPerSeq: memkit.KVCacheBytesPerSeq(s.full, mpn,
+		KVBytesPerSeq: memkit.KVCacheBytesPerSeq(s.full, r.mpn,
 			s.inf.PromptLen+s.inf.GenTokens, p.tr.Operands),
 	}
 	if !finiteInf(out) {

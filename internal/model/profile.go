@@ -1,7 +1,6 @@
 package model
 
 import (
-	"amped/internal/efficiency"
 	"amped/internal/transformer"
 	"amped/internal/units"
 )
@@ -15,10 +14,11 @@ type LayerProfile struct {
 	// Compute is the block's forward+backward+update compute time on the
 	// critical path (already divided by the worker count).
 	Compute units.Seconds
-	// Comm is the block's communication time (TP + PP share + MoE,
-	// forward and backward).
+	// Comm is the block's exposed forward and backward communication time:
+	// its share of the TP, PP and CP terms, its MoE all-to-all, and the
+	// ZeRO overhead on both.
 	Comm units.Seconds
-	// GradAR is the block's gradient all-reduce time.
+	// GradAR is the block's exposed gradient all-reduce time.
 	GradAR units.Seconds
 }
 
@@ -28,105 +28,94 @@ func (p LayerProfile) Total() units.Seconds { return p.Compute + p.Comm + p.Grad
 // ProfileLayers evaluates the model layer by layer, returning each block's
 // contribution to the per-batch time — the view that locates *which* layers
 // (dense vs MoE, attention-heavy vs MLP-heavy) dominate a configuration.
-// The profile sums to the breakdown's totals minus the pipeline bubble
-// (bubbles are a schedule property, not a layer's).
+// It prices the point on a compiled Session and splits that breakdown over
+// the blocks, so the profile sums to the breakdown's per-batch time minus
+// two things that are not a block's: the pipeline bubble (a schedule
+// property) and, under IncludeEmbedding, the embedding and logit
+// projection's compute, weight update and gradient all-reduce.
 func (e *Estimator) ProfileLayers() ([]LayerProfile, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
-	tr := e.Training.withDefaults()
-	effModel := e.Eff
-	if effModel == nil {
-		effModel = efficiency.Default()
+	s, err := Compile(e.Model, e.System, e.Training, e.Eff)
+	if err != nil {
+		return nil, err
 	}
-	m := e.Model
-	sys := e.System
-	mp := e.Mapping.Normalized()
-	B := tr.Batch.Global
-	workers := float64(mp.Workers())
-
-	ub := tr.Batch.Microbatch(mp)
-	eff := effModel.Eff(ub)
-	cMAC := 1 / float64(sys.Accel.MACRate(eff))
-	cNonlin := 1 / float64(sys.Accel.NonlinRate())
-	macScale := float64(tr.Operands.MACScale(sys.Accel.MACPrecision))
-	nonlinScale := float64(tr.Operands.NonlinScale(sys.Accel.NonlinPrecision))
-	bf := tr.BackwardCommFactor
-
-	// Roofline pricing per sublayer, from the same shared derivations the
-	// session hoists. Within a layer the per-sublayer max matches the
-	// session's class-level max exactly, because every member of a class is
-	// an identical layer.
-	roofline := tr.Roofline && sys.Accel.MemBW > 0
-	var invMemBW float64
-	if roofline {
-		invMemBW = 1 / sys.Accel.MemBWBytes()
+	var bd Breakdown
+	bt := e.Training.Batch
+	if err := s.EvaluatePoint(e.Mapping, bt.Global, bt.Microbatches, &bd); err != nil {
+		return nil, err
 	}
-	actBytesF := tr.Operands.ActBytesF()
-	paramBytesF := tr.Operands.ParamBytesF()
-	tpF := float64(mp.TP())
+	r := s.prepareRun(e.Mapping)
+	m := s.model
+	tr := &s.tr
 
-	// Reuse the communication machinery per layer by evaluating a
-	// single-layer view of each distinct layer kind; PP's 1/L spreading
-	// already makes forward() per-layer additive.
-	comm := e.commState(tr)
-	full := comm.forward(m, mp, sys)
-	L := float64(m.Layers)
-	moeLayers := m.MoELayers()
-
-	// Distribute the layer-uniform components evenly and the MoE
-	// component over MoE layers only.
-	perLayerBase := (full.tpIntra + full.tpInter + full.pp + full.cp) / L
+	// Forward communication is uniform across blocks except for the MoE
+	// all-to-all, which only MoE blocks carry; the ZeRO overhead scales
+	// every block's share alike.
+	zeroF := 1 + tr.ZeROOverhead
+	perLayerComm := float64(bd.TPIntraComm+bd.TPInterComm+bd.PPComm+bd.CPComm) / s.layersF
 	var perMoE float64
-	if moeLayers > 0 {
-		perMoE = full.moe / float64(moeLayers)
+	if s.moeLayers > 0 {
+		perMoE = float64(bd.MoEComm) / s.moeLayers
 	}
-	// Per-layer gradient all-reduce, with the expert-parallel sharding
-	// exactly as commState.gradient applies it.
-	shard := 1 / float64(mp.TP()*mp.PP())
-	gradBits := float64(tr.Operands.Grad.Bits())
-	inter := sys.InterLinkEffective()
+
+	// The gradient all-reduce: one latency term plus the block's own
+	// (expert-sharded) parameter shard per block, scaled like the
+	// breakdown's by any gradient overlap.
+	var gradScale, shard float64
+	if g := r.gradIntra + r.gradInter; g > 0 {
+		gradScale = float64(bd.GradIntraComm+bd.GradInterComm) / g
+		shard = 1 / float64(r.mpn.TP()*r.mpn.PP())
+	}
 	gradFor := func(l int) float64 {
-		if mp.DP() <= 1 {
+		if gradScale == 0 {
 			return 0
 		}
-		ng := m.LayerParams(l) * shard
-		if mp.ExpertParallel && m.IsMoELayer(l) {
-			sharedP := m.AttentionNormParams() * shard
-			ng = sharedP + (m.LayerParams(l)-m.AttentionNormParams())*shard/float64(m.Experts)
+		ng := m.LayerParams(l)
+		if r.moeActive && m.IsMoELayer(l) {
+			shared := m.AttentionNormParams()
+			ng = shared + (ng-shared)/float64(m.Experts)
 		}
-		return allReduceTime(tr.Topology.AllReduce, mp.DPIntra, ng, gradBits, sys.Intra) +
-			allReduceTime(tr.Topology.AllReduce, mp.DPInter, ng, gradBits, inter)
+		ng *= shard
+		return gradScale * (s.allReduceSum(r.mpn.DPIntra, 1, ng, s.intra) +
+			s.allReduceSum(r.mpn.DPInter, 1, ng, s.inter))
 	}
 
+	// Per-sublayer compute at the point's efficiency; under roofline
+	// pricing each sublayer costs max(compute, bytes/BW), which sums to the
+	// session's class-level maxima because every class member is an
+	// identical layer.
+	cMAC := 1 / (s.peakMAC * bd.Efficiency)
+	workers := float64(bd.Workers)
 	out := make([]LayerProfile, m.Layers)
-	for l := 0; l < m.Layers; l++ {
+	for l := range out {
 		var uf float64
-		for _, op := range m.LayerOps(l, B) {
-			t := float64(op.MACs)*cMAC*macScale + float64(op.Nonlin)*cNonlin*nonlinScale
-			if roofline {
-				actBytes := float64(op.ActElems) * actBytesF
-				if op.Sublayer == transformer.Norms && !mp.SequenceParallel {
-					actBytes *= tpF
+		for _, op := range m.LayerOps(l, bt.Global) {
+			t := float64(op.MACs)*cMAC*s.macScale + float64(op.Nonlin)*s.cNonlin*s.nonlinScale
+			if s.roofline {
+				actBytes := float64(op.ActElems) * s.actBytesF
+				if op.Sublayer == transformer.Norms && !r.mpn.SequenceParallel {
+					actBytes *= r.tpF
 				}
-				if mem := (actBytes + float64(op.WeightElems)*paramBytesF) * invMemBW; mem > t {
+				if mem := (actBytes + float64(op.WeightElems)*s.paramBytesF) * s.invMemBW; mem > t {
 					t = mem
 				}
 			}
 			uf += t
 		}
-		uw := m.LayerParams(l) * cMAC * macScale
-		p := LayerProfile{
+		uw := m.LayerParams(l) * cMAC * s.macScale
+		comm := perLayerComm
+		if m.IsMoELayer(l) {
+			comm += perMoE
+		}
+		out[l] = LayerProfile{
 			Layer:   l,
 			MoE:     m.IsMoELayer(l),
-			Compute: units.Seconds(((1 + tr.BackwardComputeFactor) * uf / workers) + uw/workers),
-			Comm:    units.Seconds((1 + bf) * perLayerBase),
+			Compute: units.Seconds((1+tr.BackwardComputeFactor)*uf/workers + uw/workers),
+			Comm:    units.Seconds(zeroF * comm),
 			GradAR:  units.Seconds(gradFor(l)),
 		}
-		if p.MoE {
-			p.Comm += units.Seconds((1 + bf) * perMoE)
-		}
-		out[l] = p
 	}
 	return out, nil
 }

@@ -10,38 +10,66 @@ import (
 	"amped/internal/transformer"
 )
 
+// TestProfileSumsToBreakdown requires the layer profiles to add up to the
+// breakdown they split: compute, every exposed communication term (ZeRO
+// overhead included) and the gradient all-reduce, and in total the
+// per-batch time minus the bubble (a schedule property, not a layer's) —
+// under every recipe knob that rescales a breakdown term.
 func TestProfileSumsToBreakdown(t *testing.T) {
-	// Layer profiles must add up to the breakdown's compute + comm + grad
-	// components (the bubble is a schedule property and excluded).
-	e := cs1Estimator(parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}, 8192)
-	bd, err := e.Evaluate()
+	gqa, err := transformer.Variant{KVHeads: 8}.Apply(transformer.Megatron145B())
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles, err := e.ProfileLayers()
-	if err != nil {
-		t.Fatal(err)
+	pp2 := parallel.Mapping{TPIntra: 8, PPInter: 2, DPInter: 64}
+	cases := []struct {
+		name string
+		tr   Training
+		m    *transformer.Model
+		mp   parallel.Mapping
+	}{
+		{"default", Training{}, nil, pp2},
+		{"comm overlap", Training{CommOverlap: 0.5}, nil, pp2},
+		{"grad overlap", Training{GradOverlap: 0.5}, nil, pp2},
+		{"ZeRO overhead", Training{ZeROOverhead: 0.5}, nil, pp2},
+		{"GQA-8 + CP2", Training{}, &gqa, parallel.Mapping{TPIntra: 8, PPInter: 2, CPInter: 2, DPInter: 32}},
 	}
-	if len(profiles) != 80 {
-		t.Fatalf("profiles = %d", len(profiles))
-	}
-	var compute, comm, grad float64
-	for _, p := range profiles {
-		compute += float64(p.Compute)
-		comm += float64(p.Comm)
-		grad += float64(p.GradAR)
-	}
-	wantCompute := float64(bd.ComputeTime())
-	if math.Abs(compute-wantCompute) > 1e-9*wantCompute {
-		t.Errorf("profile compute %v != breakdown %v", compute, wantCompute)
-	}
-	wantComm := float64(bd.TPIntraComm + bd.TPInterComm + bd.PPComm + bd.MoEComm)
-	if math.Abs(comm-wantComm) > 1e-9*wantComm {
-		t.Errorf("profile comm %v != breakdown %v", comm, wantComm)
-	}
-	wantGrad := float64(bd.GradIntraComm + bd.GradInterComm)
-	if math.Abs(grad-wantGrad) > 1e-9*wantGrad {
-		t.Errorf("profile grad %v != breakdown %v", grad, wantGrad)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := cs1Estimator(c.mp, 8192)
+			e.Training = c.tr
+			e.Training.Batch = parallel.Batch{Global: 8192}
+			if c.m != nil {
+				e.Model = c.m
+			}
+			bd, err := e.Evaluate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			profiles, err := e.ProfileLayers()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(profiles) != 80 {
+				t.Fatalf("profiles = %d", len(profiles))
+			}
+			var compute, comm, grad, total float64
+			for _, p := range profiles {
+				compute += float64(p.Compute)
+				comm += float64(p.Comm)
+				grad += float64(p.GradAR)
+				total += float64(p.Total())
+			}
+			within := func(name string, got, want float64) {
+				t.Helper()
+				if math.Abs(got-want) > 1e-9*want {
+					t.Errorf("profile %s %v != breakdown %v (ratio %.4f)", name, got, want, got/want)
+				}
+			}
+			within("compute", compute, float64(bd.ComputeTime()))
+			within("comm", comm, float64(bd.TPIntraComm+bd.TPInterComm+bd.PPComm+bd.CPComm+bd.MoEComm+bd.ZeROComm))
+			within("grad", grad, float64(bd.GradIntraComm+bd.GradInterComm))
+			within("total", total, float64(bd.PerBatch()-bd.Bubble))
+		})
 	}
 }
 

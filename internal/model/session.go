@@ -2,7 +2,6 @@ package model
 
 import (
 	"errors"
-	"math"
 	"sync"
 
 	"amped/internal/efficiency"
@@ -53,12 +52,16 @@ type Session struct {
 	actBytesF   float64 // streamed activation element size, bytes
 	paramBytesF float64 // streamed weight element size, bytes
 
-	// Communication hoists: links, operand widths, topology kinds.
-	intra    hardware.Link
-	inter    hardware.Link
-	actBits  float64
-	gradBits float64
-	arKind   topology.Kind
+	// Communication hoists: links, operand widths, topology kinds, and the
+	// exposed forward+backward scale (1+M_b)(1−overlap) with its ZeRO
+	// extension M_f_DP·(1+M_b)(1−overlap).
+	commScale float64
+	zeroScale float64
+	intra     hardware.Link
+	inter     hardware.Link
+	actBits   float64
+	gradBits  float64
+	arKind    topology.Kind
 
 	// Eq. 9 hoists: the all-to-all latency term and per-element volume
 	// coefficient (both fixed by the system's node count).
@@ -90,6 +93,10 @@ type Session struct {
 	// batches caches the Eq. 2 per-batch operation aggregates, keyed by the
 	// global batch size. Read-only after Prepare.
 	batches map[int]batchAgg
+	// prefill marks the forward-only session inside an InferenceSession:
+	// its runs skip the gradient all-reduce and the failure expectation,
+	// and its CP bound names the prompt.
+	prefill bool
 	// dyn memoizes aggregates for batches that were never Prepared, so
 	// long-lived shared sessions (the serving layer's cache hands one
 	// session to many concurrent requests without a Prepare window)
@@ -112,6 +119,20 @@ const (
 	clsEmbed // logit projection, when IncludeEmbedding
 	numOpClasses
 )
+
+// opClassOf buckets a sublayer of layer l into its roofline class.
+func opClassOf(m *transformer.Model, l int, sub transformer.Sublayer) int {
+	switch sub {
+	case transformer.Attention:
+		return clsAttn
+	case transformer.MLP:
+		if m.IsMoELayer(l) {
+			return clsMLPMoE
+		}
+		return clsMLPDense
+	}
+	return clsNorms
+}
 
 // opClass is one roofline class's operation and streamed-element totals.
 type opClass struct {
@@ -167,6 +188,9 @@ func Compile(m *transformer.Model, sys *hardware.System, tr Training, eff effici
 		cNonlin:     1 / float64(sys.Accel.NonlinRate()),
 		macScale:    float64(tr.Operands.MACScale(sys.Accel.MACPrecision)),
 		nonlinScale: float64(tr.Operands.NonlinScale(sys.Accel.NonlinPrecision)),
+
+		commScale: (1 + tr.BackwardCommFactor) * (1 - tr.CommOverlap),
+		zeroScale: tr.ZeROOverhead * (1 + tr.BackwardCommFactor) * (1 - tr.CommOverlap),
 
 		intra:    sys.Intra,
 		inter:    sys.InterLinkEffective(),
@@ -270,19 +294,7 @@ func (s *Session) computeAgg(batch int) batchAgg {
 		a.macSum += float64(macs)
 		a.nonlinSum += float64(nonlin)
 		for _, op := range m.LayerOps(l, batch) {
-			var k int
-			switch op.Sublayer {
-			case transformer.Attention:
-				k = clsAttn
-			case transformer.MLP:
-				k = clsMLPDense
-				if m.IsMoELayer(l) {
-					k = clsMLPMoE
-				}
-			default:
-				k = clsNorms
-			}
-			c := &a.cls[k]
+			c := &a.cls[opClassOf(m, l, op.Sublayer)]
 			c.mac += float64(op.MACs)
 			c.nonlin += float64(op.Nonlin)
 			c.act += float64(op.ActElems)
@@ -327,28 +339,6 @@ func (s *Session) rooflineUF(agg *batchAgg, cMAC, tpF float64, sequenceParallel 
 	return total
 }
 
-// gradOverlapScale returns the factor in [0,1] by which the exposed
-// gradient all-reduce shrinks when a fraction o of its buckets overlaps
-// with backward compute. The all-reduce is modeled as `buckets` equal
-// serialized buckets of g = total/buckets each; backward produces bucket i's
-// gradients at i·(tb/buckets). The first m = ceil(o·buckets) buckets drain
-// concurrently with backward — a two-server pipeline whose makespan is
-// max(rel + m·g, m·rel + g) (the linear objective peaks at an endpoint) —
-// and the rest serialize after whichever of that drain or the backward pass
-// finishes last. Exposed time is the makespan beyond tb; communication that
-// outlasts compute stays exposed even at o = 1.
-func gradOverlapScale(o, total, tb, buckets float64) float64 {
-	g := total / buckets
-	m := math.Ceil(o * buckets)
-	rel := tb / buckets
-	var finishO float64
-	if m > 0 {
-		finishO = max2(rel+m*g, m*rel+g)
-	}
-	makespan := max2(finishO, tb) + (buckets-m)*g
-	return (makespan - tb) / total
-}
-
 // agg returns the cached aggregate for a batch. Batches that were never
 // Prepared are computed once and memoized on the concurrent-safe side
 // table, so the first evaluation of a new batch pays O(L) (and one small
@@ -371,7 +361,9 @@ func (s *Session) agg(batch int) batchAgg {
 // (0 derives the N_ub default) — writing the per-batch breakdown into out.
 // The caller owns out; the hot path performs no heap allocations.
 func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, out *Breakdown) error {
-	return s.evaluate(mp, batch, microbatches, out, false)
+	r := s.prepareRun(mp)
+	_, err := s.price(&r, batch, microbatches, nil, false, out)
+	return err
 }
 
 // LowerBound returns an admissible lower bound on the point's expected total
@@ -385,188 +377,12 @@ func (s *Session) EvaluatePoint(mp parallel.Mapping, batch, microbatches int, ou
 // error contract matches EvaluatePoint: a cell that fails validation here
 // fails identically there.
 func (s *Session) LowerBound(mp parallel.Mapping, batch, microbatches int) (float64, error) {
+	r := s.prepareRun(mp)
 	var bd Breakdown
-	if err := s.evaluate(mp, batch, microbatches, &bd, true); err != nil {
+	if _, err := s.price(&r, batch, microbatches, nil, true, &bd); err != nil {
 		return 0, err
 	}
 	return float64(bd.ExpectedTotalTime()), nil
-}
-
-// evaluate is the shared body behind EvaluatePoint and LowerBound. With
-// relaxed set the Eq. 9 MoE all-to-all term is dropped (kept at exactly
-// 0.0), relaxing the point into the admissible compute+non-MoE-comm bound;
-// everything else — validation, association order, reliability inflation —
-// is identical to the production path.
-func (s *Session) evaluate(mp parallel.Mapping, batch, microbatches int, out *Breakdown, relaxed bool) error {
-	if err := mp.Validate(s.sys); err != nil {
-		return err
-	}
-	bt := parallel.Batch{Global: batch, Microbatches: microbatches}
-	if err := bt.Validate(mp); err != nil {
-		return err
-	}
-	if tp := mp.TP(); tp > s.model.Heads {
-		return errorsf("model: TP degree %d exceeds %d attention heads", tp, s.model.Heads)
-	}
-	if pp := mp.PP(); pp > s.model.Layers {
-		return errorsf("model: PP degree %d exceeds %d layers", pp, s.model.Layers)
-	}
-	if cp := mp.CP(); cp > s.model.SeqLen {
-		return errorsf("model: CP degree %d exceeds sequence length %d", cp, s.model.SeqLen)
-	}
-	if vpp := mp.Normalized().VPP; vpp > 1 {
-		if pp := mp.PP(); pp <= 1 {
-			return errorsf("model: virtual pipeline depth %d requires PP > 1", vpp)
-		} else if pp*vpp > s.model.Layers {
-			return errorsf("model: PP %d x VPP %d exceeds %d layers", pp, vpp, s.model.Layers)
-		}
-	}
-
-	tr := s.tr
-	mpn := mp.Normalized()
-	workers := float64(mpn.Workers())
-	cpF := float64(mpn.CP())
-	vppF := float64(mpn.VPP)
-
-	ub := bt.Microbatch(mpn)
-	eff := s.eff.Eff(ub)
-	nub := float64(bt.MicrobatchesOrDefault(mpn))
-
-	// Eq. 2–4: the per-layer, per-sublayer double sum factors into the two
-	// cached aggregates times the point's reciprocal throughputs — or, under
-	// roofline pricing, the per-class max of compute and bandwidth time.
-	cMAC := 1 / (s.peakMAC * eff)
-	agg := s.agg(batch)
-	var ufTotal float64
-	if s.roofline {
-		ufTotal = s.rooflineUF(&agg, cMAC, float64(mpn.TP()), mpn.SequenceParallel)
-	} else {
-		ufTotal = agg.macSum*cMAC*s.macScale + agg.nonlinSum*s.cNonlin*s.nonlinScale
-	}
-	uwTotal := s.updateParams * cMAC * s.macScale
-	ubTotal := tr.BackwardComputeFactor * ufTotal
-
-	// Eq. 5–7, 9: forward communication on the per-point microbatch. With
-	// context parallelism every rank holds s/N_CP tokens, so the activation
-	// volumes shrink by cpF (an exact no-op at the default CP = 1).
-	bEff := ub
-	nActTP := 2 * bEff * s.seqHidden / cpF
-	tpIntra := s.layersF * allReduceTime(s.arKind, mpn.TPIntra, nActTP, s.actBits, s.intra)
-	tpInter := s.layersF * allReduceTime(s.arKind, mpn.TPInter, nActTP, s.actBits, s.inter)
-
-	// Eq. 7: the 1/L spreading cancels against the layer sum, leaving the
-	// boundary cost once; the pipeline runs at its slowest hop. Interleaved
-	// schedules cross the stage boundary VPP times per microbatch.
-	var ppComm float64
-	if mpn.PP() > 1 {
-		nActPP := bEff * s.seqHidden / cpF
-		var ppI, ppE float64
-		if mpn.PPIntra > 1 {
-			ppI = float64(s.intra.Latency) + nActPP*s.actBits/float64(s.intra.Bandwidth)
-		}
-		if mpn.PPInter > 1 {
-			ppE = float64(s.inter.Latency) + nActPP*s.actBits/float64(s.inter.Bandwidth)
-		}
-		ppComm = max2(ppI, ppE) * vppF
-	}
-
-	// Context-parallel K/V exchange: once per layer each rank passes its
-	// 2·ub·(s/N_CP)·kvFrac·h key/value shard around the CP group
-	// (hierarchically, intra then inter, like the TP all-reduce). Under GQA
-	// the K/V tensors are only kvFrac·h wide — pricing them at the full
-	// hidden width would overcount the exchange by Heads/KVHeads. Gradient
-	// synchronization across the CP group is not modeled separately.
-	var cpComm float64
-	if mpn.CP() > 1 {
-		nActCP := 2 * bEff * s.seqHidden * s.kvFrac / cpF
-		cpComm = s.layersF * (allReduceTime(s.arKind, mpn.CPIntra, nActCP, s.actBits, s.intra) +
-			allReduceTime(s.arKind, mpn.CPInter, nActCP, s.actBits, s.inter))
-	}
-
-	var moe float64
-	if !relaxed && s.model.MoE() && mpn.ExpertParallel {
-		moe = s.moeLayers * (s.moeLatTerm + bEff*s.seqHidden*s.moeVolCoeff/cpF)
-	}
-
-	fwdTotal := tpIntra + tpInter + ppComm + cpComm + moe
-	bf := tr.BackwardCommFactor
-	exposed := 1 - tr.CommOverlap
-
-	// Eq. 10–11: the all-reduce is linear in the element count, so the
-	// layer loop collapses to the precomputed parameter aggregate.
-	var gradIntra, gradInter float64
-	if mpn.DP() > 1 {
-		shard := 1 / float64(mpn.TP()*mpn.PP())
-		ngSum := s.gradParamsPlain
-		if mpn.ExpertParallel && s.model.MoE() {
-			ngSum = s.gradParamsEP
-		}
-		ngSum = (ngSum + s.gradEmbParams) * shard
-		gradIntra = s.allReduceSum(mpn.DPIntra, ngSum, s.intra)
-		gradInter = s.allReduceSum(mpn.DPInter, ngSum, s.inter)
-	}
-	if o := tr.GradOverlap; o > 0 {
-		if g := gradIntra + gradInter; g > 0 {
-			scale := gradOverlapScale(o, g, ubTotal/workers, s.gradLatCount)
-			gradIntra *= scale
-			gradInter *= scale
-		}
-	}
-
-	// Eq. 8: pipeline bubbles over the per-microbatch step time; the
-	// interleaved schedule shrinks the bubble by the chunk count.
-	var bubble float64
-	if pp := mpn.PP(); pp > 1 && nub > 0 {
-		step := (ufTotal+ubTotal)/workers + (1+bf)*exposed*fwdTotal
-		bubble = tr.BubbleRatio * float64(pp-1) / nub * step / vppF
-	}
-
-	zeroExtra := tr.ZeROOverhead * (1 + bf) * exposed * fwdTotal
-
-	*out = Breakdown{
-		ComputeForward:  units.Seconds(ufTotal / workers),
-		ComputeBackward: units.Seconds(ubTotal / workers),
-		WeightUpdate:    units.Seconds(uwTotal / workers),
-		TPIntraComm:     units.Seconds((1 + bf) * exposed * tpIntra),
-		TPInterComm:     units.Seconds((1 + bf) * exposed * tpInter),
-		PPComm:          units.Seconds((1 + bf) * exposed * ppComm),
-		CPComm:          units.Seconds((1 + bf) * exposed * cpComm),
-		MoEComm:         units.Seconds((1 + bf) * exposed * moe),
-		ZeROComm:        units.Seconds(zeroExtra),
-		GradIntraComm:   units.Seconds(gradIntra),
-		GradInterComm:   units.Seconds(gradInter),
-		Bubble:          units.Seconds(bubble),
-		Microbatch:      ub,
-		Efficiency:      eff,
-		Workers:         mpn.Workers(),
-		NumBatches:      tr.NumBatches,
-		ModelFLOPs:      agg.flops,
-	}
-	if s.relSpec != nil {
-		w := mpn.Workers()
-		nodes := faults.NodesFor(w, s.accelsPerNode)
-		out.Reliability = s.relSpec.Expect(faults.Cluster{
-			Workers: w,
-			Nodes:   nodes,
-			Links:   nodes * s.nicsPerNode,
-		}, s.ckptStateBytes)
-	}
-	if !finite(out) {
-		return errNonFinite
-	}
-	return nil
-}
-
-// allReduceSum is the layer-summed Eq. 10/11 all-reduce: gradLatCount
-// latency terms plus one volume term over the aggregated element count.
-func (s *Session) allReduceSum(n int, elems float64, link hardware.Link) float64 {
-	if n <= 1 {
-		return 0
-	}
-	steps := float64(topology.Steps(s.arKind, n))
-	factor := topology.Factor(s.arKind, n)
-	return float64(link.Latency)*steps*s.gradLatCount +
-		elems*s.gradBits/float64(link.Bandwidth)*factor
 }
 
 // Evaluate is the one-shot convenience over EvaluatePoint: it allocates a
