@@ -14,13 +14,15 @@ build:
 test:
 	$(GO) test ./...
 
-## verify is the tier-1 gate: compile, vet, full test suite (in a random
+## verify is the tier-1 gate: compile, vet, gofmt (any file it would
+## rewrite is listed and fails the gate), full test suite (in a random
 ## test order to keep order dependencies out), the same for the benchmark
 ## harness (its own module, which the root ./... skips, so an API change
 ## that breaks it fails here), and the amped-serve end-to-end smoke check.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) test -shuffle=on ./...
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...

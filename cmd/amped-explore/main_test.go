@@ -133,7 +133,7 @@ func TestExploreReliabilityErrors(t *testing.T) {
 	}
 }
 
-// TestExploreSolve checks that the planner path prints pruning statistics
+// TestExploreSolve checks that the planner path prints the space's census
 // and lands on the same best line the exhaustive sweep prints for the same
 // scenario.
 func TestExploreSolve(t *testing.T) {
@@ -147,7 +147,7 @@ func TestExploreSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"branch-and-bound over", "expanded", "bounded", "compute floor", "best: "} {
+	for _, want := range []string{"exhaustive sweep over", "expanded", "mem-pruned", "compute floor", "best: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("solve output missing %q:\n%s", want, out)
 		}

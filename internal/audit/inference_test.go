@@ -60,20 +60,6 @@ func TestInferenceDifferential(t *testing.T) {
 			t.Errorf("seed %d: FLOP accounting diverged", i)
 		}
 
-		// Branch-and-bound contract.
-		lb, errB := sess.LowerBound(sc.Mapping, sc.Batch)
-		if errB != nil {
-			t.Errorf("seed %d: LowerBound failed (%v) on a point Evaluate accepted", i, errB)
-			continue
-		}
-		rank := float64(got.PerToken())
-		if lb > rank {
-			t.Errorf("seed %d: lower bound %.17g above rank %.17g", i, lb, rank)
-		}
-		if float64(got.DecodeMoEComm) == 0 && lb != rank {
-			t.Errorf("seed %d: MoE-free lower bound %.17g not bit-identical to rank %.17g", i, lb, rank)
-		}
-
 		// A second evaluation through the zero-alloc entry point must be
 		// bit-identical (the aggregate memoization cannot drift).
 		var again model.InferenceBreakdown

@@ -124,12 +124,28 @@ func tiedPoints(t *testing.T, seed int64) ([]Point, *hardware.System) {
 }
 
 // TestSortByTimeDeterministicOnTies shuffles points tied on time and checks
-// SortByTime always lands the same order.
+// SortByTime always lands the same order, and that Best and Top pick the
+// same leaders from the unsorted input.
 func TestSortByTimeDeterministicOnTies(t *testing.T) {
 	ref, _ := tiedPoints(t, 1)
 	SortByTime(ref)
-	for seed := int64(2); seed < 8; seed++ {
+	for seed := int64(1); seed < 8; seed++ {
 		got, _ := tiedPoints(t, seed)
+		if b := Best(got); b == nil || b.String() != ref[0].String() {
+			t.Fatalf("seed %d: Best = %v, want %s", seed, b, ref[0].String())
+		}
+		for k := 0; k <= len(got)+1; k++ {
+			top := Top(got, k)
+			want := ref[:min(k, len(ref))]
+			if len(top) != len(want) {
+				t.Fatalf("seed %d: Top(%d) returned %d points, want %d", seed, k, len(top), len(want))
+			}
+			for i := range top {
+				if top[i].String() != want[i].String() {
+					t.Fatalf("seed %d: Top(%d)[%d] = %s, want %s", seed, k, i, top[i].String(), want[i].String())
+				}
+			}
+		}
 		SortByTime(got)
 		for i := range got {
 			if got[i].String() != ref[i].String() {

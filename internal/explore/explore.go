@@ -6,11 +6,13 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -320,11 +322,7 @@ func SweepContext(ctx context.Context, sc Scenario, opt Options) ([]Point, error
 // SweepContext would hand them to its workers: mapping-major, batch-minor
 // over the deterministically ordered mappings × Batches, microbatch
 // schedules chosen (and memoized) up front, pipeline-unfillable cells
-// pre-marked with Err. It is the shared front half of every search over the
-// cell enumeration — the exhaustive sweep and the branch-and-bound planner
-// (internal/plan) both consume it, which is what makes their results
-// cell-for-cell comparable. The scenario is resolved in place so the caller
-// can keep using it with EvaluateCell.
+// pre-marked with Err. The scenario is resolved in place.
 func Layout(sc *Scenario, opt Options) ([]Point, *model.Session, error) {
 	sc.resolveSession()
 	mappings, err := resolveMappings(sc, opt)
@@ -414,23 +412,11 @@ func Layout(sc *Scenario, opt Options) ([]Point, *model.Session, error) {
 	return points, sess, nil
 }
 
-// EvaluateCell prices one laid-out cell in place against the session: the
-// full evaluation (breakdown, plus the scenario's optional memory
-// feasibility check), with the sweep workers' panic isolation. Cells
-// pre-marked with Err at layout time are left as-is — their diagnosis is
-// already final.
-func EvaluateCell(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario) {
-	if p.Err != nil {
-		return
-	}
-	evalPointSafe(p, bd, sess, sc)
-}
-
 // CellLowerBound returns the admissible lower bound on the cell's rank key
 // (see model.Session.LowerBound) using the exact microbatch schedule the
 // layout chose for the cell, so bound and full evaluation price the same
-// schedule. The error contract matches EvaluateCell: a cell whose bound
-// fails validation fails the full evaluation with the identical error.
+// schedule. A cell whose bound fails validation fails the full evaluation
+// with the identical error.
 func CellLowerBound(p *Point, sess *model.Session) (float64, error) {
 	return sess.LowerBound(p.Mapping, p.Batch, p.chosenNub)
 }
@@ -656,26 +642,29 @@ func evalPoint(p *Point, bd *model.Breakdown, sess *model.Session, sc *Scenario)
 // finishes first on a cluster that fails, not the one that would win on
 // perfect hardware. Without a reliability spec the two are identical.
 func SortByTime(points []Point) {
-	sort.SliceStable(points, func(i, j int) bool {
-		pi, pj := points[i], points[j]
-		oi, oj := pointOrder(pi), pointOrder(pj)
-		if oi != oj {
-			return oi < oj
-		}
-		if oi != 0 {
-			return pi.String() < pj.String()
-		}
-		ti := float64(pi.Breakdown.ExpectedTotalTime())
-		tj := float64(pj.Breakdown.ExpectedTotalTime())
-		if ti != tj {
-			return ti < tj
-		}
-		return pi.String() < pj.String()
-	})
+	slices.SortStableFunc(points, func(a, b Point) int { return compareRank(&a, &b) })
 }
 
-// pointOrder buckets points: evaluable+fits, evaluable, failed.
-func pointOrder(p Point) int {
+// compareRank is the one ranking order SortByTime, Best and Top share:
+// bucket (fits, does not fit, failed), then the exact expected total time
+// within the fitting bucket, then the point's string identity.
+func compareRank(a, b *Point) int {
+	ba, bb := rankBucket(a), rankBucket(b)
+	if ba != bb {
+		return cmp.Compare(ba, bb)
+	}
+	if ba == 0 {
+		ta := float64(a.Breakdown.ExpectedTotalTime())
+		tb := float64(b.Breakdown.ExpectedTotalTime())
+		if ta != tb {
+			return cmp.Compare(ta, tb)
+		}
+	}
+	return strings.Compare(a.String(), b.String())
+}
+
+// rankBucket buckets points: evaluable+fits, evaluable, failed.
+func rankBucket(p *Point) int {
 	switch {
 	case p.Err != nil:
 		return 2
@@ -686,20 +675,53 @@ func pointOrder(p Point) int {
 	}
 }
 
-// Best returns the fastest feasible point by expected total time (see
-// SortByTime), or nil when none evaluated.
+// Best returns the fastest feasible point — the front of the SortByTime
+// ranking when that front fits — or nil when none evaluated.
 func Best(points []Point) *Point {
 	var best *Point
 	for i := range points {
 		p := &points[i]
-		if p.Err != nil || !p.Fits || p.Breakdown == nil {
+		if rankBucket(p) != 0 || p.Breakdown == nil {
 			continue
 		}
-		if best == nil || p.Breakdown.ExpectedTotalTime() < best.Breakdown.ExpectedTotalTime() {
+		if best == nil || compareRank(p, best) < 0 {
 			best = p
 		}
 	}
 	return best
+}
+
+// Top returns copies of the first k points of the SortByTime ranking —
+// exactly what SortByTime(points) followed by points[:min(k, len(points))]
+// yields — without sorting the rest or reordering points. It keeps a
+// buffer of at most 2k candidates; each time the buffer fills, a stable
+// sort cuts it back to the k leaders, and later points that do not rank
+// strictly ahead of the k-th leader are skipped: being later in the input,
+// they lose every tie to it.
+func Top(points []Point, k int) []Point {
+	k = min(k, len(points))
+	if k <= 0 {
+		return []Point{}
+	}
+	buf := make([]Point, 0, 2*k)
+	var cut *Point // the k-th leader as of the last cut-back
+	for i := range points {
+		p := &points[i]
+		if cut != nil && compareRank(p, cut) >= 0 {
+			continue
+		}
+		if len(buf) == cap(buf) {
+			SortByTime(buf)
+			buf = buf[:k]
+			cut = &buf[k-1]
+			if compareRank(p, cut) >= 0 {
+				continue
+			}
+		}
+		buf = append(buf, *p)
+	}
+	SortByTime(buf)
+	return buf[:k]
 }
 
 // FilterBatch returns the subset of points with the given global batch, in

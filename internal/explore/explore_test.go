@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"testing"
 
 	"amped/internal/hardware"
@@ -161,6 +162,28 @@ func TestExplicitMappingsAndInvalid(t *testing.T) {
 	}
 }
 
+// checkTopPrefix asserts Top over the unsorted input equals the SortByTime
+// prefix for k in {0, 1, 2, len, len+3}. Points are matched by identity
+// (breakdown, footprint and error pointers), so duplicated cells pin the
+// selection's stability.
+func checkTopPrefix(t *testing.T, unsorted, sorted []Point) {
+	t.Helper()
+	for _, k := range []int{0, 1, 2, len(sorted), len(sorted) + 3} {
+		got := Top(unsorted, k)
+		want := sorted[:min(k, len(sorted))]
+		if len(got) != len(want) {
+			t.Fatalf("Top(%d) returned %d points, want %d", k, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.String() != w.String() || g.Breakdown != w.Breakdown ||
+				g.Footprint != w.Footprint || g.Err != w.Err {
+				t.Fatalf("Top(%d)[%d] = %v, want %v", k, i, g, w)
+			}
+		}
+	}
+}
+
 func TestSortByTimeOrdering(t *testing.T) {
 	sc := cs1Scenario()
 	pts, err := Sweep(sc, Options{
@@ -169,13 +192,17 @@ func TestSortByTimeOrdering(t *testing.T) {
 			{TPIntra: 8, TPInter: 2, DPInter: 64},
 			{TPIntra: 8, PPInter: 2, DPInter: 64},
 			{TPIntra: 8, TPInter: 128}, // invalid
+			{TPIntra: 8, DPInter: 128}, // duplicate: ties on rank and identity
+			{TPIntra: 8, TPInter: 128}, // duplicate invalid
 		},
 		Batches: []int{16384}, MicrobatchTarget: 128, KeepInvalid: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	unsorted := slices.Clone(pts)
 	SortByTime(pts)
+	checkTopPrefix(t, unsorted, pts)
 	for i := 1; i < len(pts); i++ {
 		a, b := pts[i-1], pts[i]
 		if a.Err == nil && b.Err == nil {
@@ -203,15 +230,16 @@ func TestMemoryFiltering(t *testing.T) {
 	sc.MemoryReserve = 0.1
 	pts, err := Sweep(sc, Options{
 		Mappings: []parallel.Mapping{
-			{TPIntra: 8, PPInter: 8, DPInter: 16}, // 145B/64-way sharding: fits
 			{DPIntra: 8, DPInter: 128},            // full replica per GPU: cannot fit
+			{TPIntra: 8, PPInter: 8, DPInter: 16}, // 145B/64-way sharding: fits
+			{DPIntra: 8, DPInter: 128},            // duplicate: ties in the !Fits bucket
 		},
 		Batches: []int{8192}, MicrobatchTarget: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
+	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	byFit := map[bool]int{}
@@ -221,13 +249,16 @@ func TestMemoryFiltering(t *testing.T) {
 		}
 		byFit[p.Fits]++
 	}
-	if byFit[true] != 1 || byFit[false] != 1 {
-		t.Errorf("fit split = %v, want one each", byFit)
+	if byFit[true] != 1 || byFit[false] != 2 {
+		t.Errorf("fit split = %v, want one fitting, two not", byFit)
 	}
 	best := Best(pts)
 	if best == nil || !best.Fits {
 		t.Error("Best returned an infeasible point")
 	}
+	sorted := slices.Clone(pts)
+	SortByTime(sorted)
+	checkTopPrefix(t, pts, sorted)
 }
 
 func TestSweepErrors(t *testing.T) {

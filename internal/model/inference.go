@@ -323,30 +323,6 @@ func finiteInf(b *InferenceBreakdown) bool {
 	return true
 }
 
-// EvaluateInferencePoint evaluates one serving design point — a parallelism
-// mapping and a global concurrent-sequence count — writing the breakdown
-// into out. The caller owns out; for Prepared batches the hot path performs
-// no heap allocations.
-func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int, out *InferenceBreakdown) error {
-	return s.evaluateInf(mp, batch, out, false)
-}
-
-// LowerBound returns an admissible lower bound on the point's per-token
-// decode latency — the exact rank key float64(PerToken()) — for
-// branch-and-bound search over the mapping space (minimizing PerToken at a
-// fixed global batch maximizes tokens/s). It runs the full evaluation with
-// the MoE all-to-all terms forced to exactly zero in the same association
-// order, so the bound is bit-identical to the true rank on every cell whose
-// MoE term is zero and never above it otherwise. The error contract matches
-// EvaluateInferencePoint.
-func (s *InferenceSession) LowerBound(mp parallel.Mapping, batch int) (float64, error) {
-	var bd InferenceBreakdown
-	if err := s.evaluateInf(mp, batch, &bd, true); err != nil {
-		return 0, err
-	}
-	return float64(bd.PerToken()), nil
-}
-
 // Evaluate is the one-shot convenience over EvaluateInferencePoint. On a
 // non-finite result the partial breakdown is returned alongside the error,
 // matching Session.Evaluate.
@@ -361,13 +337,13 @@ func (s *InferenceSession) Evaluate(mp parallel.Mapping, batch int) (*InferenceB
 	return out, nil
 }
 
-// evaluateInf is the shared body behind EvaluateInferencePoint and
-// LowerBound. Both phases run the kernel's forward pricing on one prepared
-// run of the prefill session: prefill at the prompt's s·h width, decode with
-// the sequence collapsed to the single new token (width h). With relaxed
-// set the MoE terms are kept at exactly 0.0, relaxing the point into the
-// admissible bound.
-func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *InferenceBreakdown, relaxed bool) error {
+// EvaluateInferencePoint evaluates one serving design point — a parallelism
+// mapping and a global concurrent-sequence count — writing the breakdown
+// into out. The caller owns out; for Prepared batches the hot path performs
+// no heap allocations. Both phases run the kernel's forward pricing on one
+// prepared run of the prefill session: prefill at the prompt's s·h width,
+// decode with the sequence collapsed to the single new token (width h).
+func (s *InferenceSession) EvaluateInferencePoint(mp parallel.Mapping, batch int, out *InferenceBreakdown) error {
 	p := s.pre
 	r := p.prepareRun(mp)
 	if r.err != nil {
@@ -393,7 +369,7 @@ func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *Infe
 	// boundary; interleaving does not shorten a single pass's traversal.
 	aggP := p.agg(batch)
 	ufPre := p.forwardCompute(&aggP, cMAC, &r)
-	pre := p.forwardComm(&r, br, p.seqHidden, relaxed)
+	pre := p.forwardComm(&r, br, p.seqHidden, false)
 
 	// Decode: one token per sequence against the mean-depth cache. In the
 	// steady-state view, mirroring Eq. 7, concurrent decode waves keep the
@@ -401,7 +377,7 @@ func (s *InferenceSession) evaluateInf(mp parallel.Mapping, batch int, out *Infe
 	// chunk), not the full traversal.
 	aggD := s.decodeAgg(batch)
 	ufDec := p.forwardCompute(&aggD, cMAC, &r)
-	dec := p.forwardComm(&r, br, float64(s.full.Hidden), relaxed)
+	dec := p.forwardComm(&r, br, float64(s.full.Hidden), false)
 
 	ppF := float64(r.pp)
 	*out = InferenceBreakdown{

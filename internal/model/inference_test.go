@@ -121,51 +121,6 @@ func TestInferenceEvaluateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInferenceLowerBound checks the branch-and-bound contract: bit-equal
-// to the true rank without MoE traffic, never above it with.
-func TestInferenceLowerBound(t *testing.T) {
-	sys := gqaCPSystem()
-	dense := infModel()
-	sessD, err := CompileInference(&dense, &sys, Training{}, nil, Inference{PromptLen: 256, GenTokens: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp := parallel.Mapping{TPIntra: 2, DPInter: 2}
-	bd, err := sessD.Evaluate(mp, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := sessD.LowerBound(mp, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lb != float64(bd.PerToken()) {
-		t.Errorf("dense lower bound %.17g != rank %.17g", lb, float64(bd.PerToken()))
-	}
-
-	moe := infModel()
-	moe.Experts, moe.MoEEvery, moe.TopK = 4, 2, 1
-	sessM, err := CompileInference(&moe, &sys, Training{}, nil, Inference{PromptLen: 256, GenTokens: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := parallel.Mapping{DPIntra: 2, DPInter: 2, ExpertParallel: true}
-	bdM, err := sessM.Evaluate(ep, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bdM.DecodeMoEComm <= 0 {
-		t.Fatal("MoE point has no decode all-to-all; test is vacuous")
-	}
-	lbM, err := sessM.LowerBound(ep, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lbM >= float64(bdM.PerToken()) {
-		t.Errorf("MoE lower bound %.17g not below rank %.17g", lbM, float64(bdM.PerToken()))
-	}
-}
-
 func TestInferenceValidation(t *testing.T) {
 	m := infModel()
 	sys := gqaCPSystem()

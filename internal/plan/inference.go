@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -14,11 +13,7 @@ import (
 // time of a fixed recipe; the serving planner minimizes the steady-state
 // per-token step time of a fixed concurrent-sequence count — with the
 // serving batch fixed, the mapping that minimizes PerToken is exactly the
-// mapping that maximizes tokens/s, so the rank key stays a time and the
-// bound stays admissible. InferenceSession.LowerBound carries the same
-// contract as the training bound (the MoE all-to-all term relaxed to
-// exactly zero in the same association order): bit-identical to the true
-// rank on non-MoE mappings, never above it otherwise.
+// mapping that maximizes tokens/s, so the rank key stays a time.
 
 // InferenceOptions selects the serving search space.
 type InferenceOptions struct {
@@ -66,13 +61,11 @@ type InferenceResult struct {
 	Stats Stats
 }
 
-// SolveInference runs the best-first branch-and-bound search over the
-// serving mappings: each mapping is bounded by the session's admissible
-// relaxed-MoE bound, and expansion stops as soon as the best unexpanded
-// bound can no longer beat (or tie-and-win against) the incumbent. When
-// the accelerator's memory is modeled, mappings whose per-replica batch
-// exceeds the KV-aware concurrent-sequence ceiling are discarded before
-// bounding — the decode state would not fit, no matter how fast the step.
+// SolveInference ranks the serving mappings: every mapping is evaluated and
+// the minimal (PerToken, mapping identity) pair wins. When the
+// accelerator's memory is modeled, mappings whose per-replica batch exceeds
+// the KV-aware concurrent-sequence ceiling are discarded before evaluation
+// — the decode state would not fit, no matter how fast the step.
 func SolveInference(sess *model.InferenceSession, opt InferenceOptions) (*InferenceResult, error) {
 	if sess == nil {
 		return nil, errors.New("plan: nil inference session")
@@ -105,60 +98,34 @@ func SolveInference(sess *model.InferenceSession, opt InferenceOptions) (*Infere
 	ops := sess.Training().Operands
 	accel := sess.System().Accel
 
-	points := make([]InferencePoint, len(mappings))
-	h := make(cellHeap, 0, len(mappings))
-	for i, mp := range mappings {
-		points[i] = InferencePoint{Mapping: mp}
-		// KV-cache feasibility gate: dominance, not pricing — the ceiling
-		// depends only on the mapping, so an over-ceiling mapping is
-		// discarded without bounding. Non-dividing batches fall through to
-		// the bound, which rejects them with the evaluator's own error.
+	var bd model.InferenceBreakdown
+	var bestRank float64
+	var bestID string
+	for _, mp := range mappings {
+		// KV-cache feasibility gate: the ceiling depends only on the
+		// mapping, so an over-ceiling mapping is discarded unpriced.
+		// Non-dividing batches fall through to the evaluation, which
+		// rejects them with its own error.
+		maxSeqs := 0
 		if dp := mp.DP(); accel.Memory > 0 && opt.Batch%dp == 0 {
-			maxSeqs, err := memkit.MaxConcurrentSeqs(m, mp.Normalized(), ctx, ops, accel, opt.MemoryReserve)
-			if err == nil {
-				points[i].MaxSeqs = maxSeqs
-				if opt.Batch/dp > maxSeqs {
-					points[i].Err = fmt.Errorf(
-						"plan: %v B=%d infeasible: per-replica batch %d exceeds KV-aware ceiling %d",
-						mp, opt.Batch, opt.Batch/dp, maxSeqs)
+			if n, err := memkit.MaxConcurrentSeqs(m, mp.Normalized(), ctx, ops, accel, opt.MemoryReserve); err == nil {
+				if opt.Batch/dp > n {
 					st.CellsPrunedMemory++
 					continue
 				}
+				maxSeqs = n
 			}
 		}
-		lb, err := sess.LowerBound(mp, opt.Batch)
-		if err != nil {
-			// The full evaluation shares the bound's validation prefix and
-			// would fail with the identical error.
-			points[i].Err = err
+		if err := sess.EvaluateInferencePoint(mp, opt.Batch, &bd); err != nil {
 			st.CellsInfeasible++
 			continue
 		}
-		h = append(h, cellRef{lb: lb, id: mp.String(), idx: i})
-	}
-	heap.Init(&h)
-
-	bds := make([]model.InferenceBreakdown, len(mappings))
-	var bestRank float64
-	var bestID string
-	for h.Len() > 0 {
-		c := h[0]
-		if res.Best != nil &&
-			(c.lb > bestRank || (c.lb == bestRank && c.id > bestID)) {
-			st.CellsBounded = int64(h.Len())
-			break
-		}
-		heap.Pop(&h)
-		p := &points[c.idx]
 		st.CellsExpanded++
-		if err := sess.EvaluateInferencePoint(p.Mapping, opt.Batch, &bds[c.idx]); err != nil {
-			p.Err = err
-			continue
-		}
-		p.Breakdown = &bds[c.idx]
-		rank := float64(p.Breakdown.PerToken())
-		if res.Best == nil || rank < bestRank || (rank == bestRank && c.id < bestID) {
-			res.Best, bestRank, bestID = p, rank, c.id
+		rank := float64(bd.PerToken())
+		if res.Best == nil || rank < bestRank || (rank == bestRank && mp.String() < bestID) {
+			b := bd
+			res.Best = &InferencePoint{Mapping: mp, Breakdown: &b, MaxSeqs: maxSeqs}
+			bestRank, bestID = rank, mp.String()
 		}
 	}
 	if res.Best != nil {

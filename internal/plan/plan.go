@@ -1,71 +1,48 @@
-// Package plan is AMPeD's solver-grade mapping planner: a best-first
-// branch-and-bound search over the exact cell enumeration the exhaustive
-// sweep (internal/explore) walks, returning the identical optimum — the
-// exact rank_s key, byte for byte — while fully evaluating only a fraction
-// of the cells.
+// Package plan is AMPeD's mapping planner: it answers "which cell is best"
+// for a training scenario, a serving workload or a heterogeneous fleet.
 //
-// Three ingredients make the search sound and cross-checkable:
+// The training and serving planners are an exhaustive evaluation plus a
+// linear selection. The model prices a cell in well under a microsecond,
+// so any bound costing as much as the evaluation it might save cannot pay
+// for itself: Solve runs the exhaustive sweep (explore.Sweep) over
+// the scenario's canonical cell enumeration and takes explore.Best, the
+// front of the sweep's own SortByTime ranking — the exact
+// float64(Breakdown.ExpectedTotalTime()) rank key, ties broken by the
+// cell's Point.String() identity. SolveInference evaluates every serving
+// mapping that passes the KV-cache gate and keeps the minimal
+// (PerToken, mapping identity) pair.
 //
-//   - Admissible lower bounds. Each cell is bounded by
-//     model.Session.LowerBound — the production evaluation with the Eq. 9
-//     MoE all-to-all term relaxed to exactly zero, in the same association
-//     order, so the bound is bit-identical to the true rank on every
-//     non-MoE cell and never above it otherwise (monotonicity of IEEE-754
-//     rounded arithmetic). The compute-only internal/baseline predictor is
-//     quoted as a root statistic (Stats.ComputeFloorSeconds) but never used
-//     for pruning: its fixed utilization and backward factor are not
-//     admissible against the efficiency-derated analytical model.
-//
-//   - Dominance pruning of memory-infeasible (TP, PP) prefixes. When the
-//     scenario enables the memory model, memkit.ParamsFloor lower-bounds
-//     every cell in a (TP, PP) group by its parameter bytes alone (ZeRO-3
-//     sharding taken at the group's largest DP); a floor above the usable
-//     capacity proves the whole group !Fits and it is pruned without
-//     evaluating a single cell.
-//
-//   - The canonical cell order. Cells come from explore.Layout — the same
-//     mapping-major, batch-minor enumeration, microbatch schedules and
-//     infeasibility pre-marks the sweep uses — so Solve's result is
-//     directly comparable against explore.Sweep cell-for-cell, and the
-//     equivalence is enforced by a randomized property test over the audit
-//     generator's scenario space.
-//
-// Ranking matches the sweep's SortByTime front: feasible cells ordered by
-// the exact float64(Breakdown.ExpectedTotalTime()) rank key, ties broken by
-// the cell's Point.String() identity. Expansion stops as soon as the best
-// unexpanded bound can no longer beat (or tie-and-win against) the
-// incumbent, which on a fully non-MoE space means the optimum plus its
-// exact-tie peers are the only cells ever fully evaluated.
+// SolveHetero is the one branch-and-bound search: there each cell is priced
+// by the pipeline discrete-event simulator, and a closed-form pipeline
+// bound far cheaper than a simulation prunes most of the space (see
+// hetero.go).
 package plan
 
 import (
-	"container/heap"
-
 	"amped/internal/baseline"
 	"amped/internal/explore"
-	"amped/internal/memkit"
 	"amped/internal/model"
 )
 
-// Stats reports how much of the cell space the search actually touched.
+// Stats reports how much of the cell space the search touched.
 type Stats struct {
 	// CellsTotal is the size of the laid-out cell enumeration.
 	CellsTotal int64
-	// CellsPrunedMemory counts cells discarded by the (TP, PP) parameter
-	// floor dominance test before bounding.
+	// CellsPrunedMemory counts cells the memory model rules out: priced
+	// cells that do not fit (training), mappings over the KV-aware
+	// concurrency ceiling (serving, never priced).
 	CellsPrunedMemory int64
 	// CellsInfeasible counts cells whose schedule or validation makes them
-	// unrankable (layout pre-marks, bound-time validation errors) — the
-	// full evaluation would fail identically, so they are never expanded.
+	// unrankable.
 	CellsInfeasible int64
-	// CellsBounded counts cells that received a lower bound but were cut
-	// off by it: the search terminated with them still unexpanded.
+	// CellsBounded counts cells cut off unpriced by a lower bound (the
+	// heterogeneous branch-and-bound only).
 	CellsBounded int64
-	// CellsExpanded counts cells that were fully evaluated.
+	// CellsExpanded counts cells that were priced without error.
 	CellsExpanded int64
 	// ComputeFloorSeconds is the compute-only baseline floor for the
 	// scenario's smallest batch at utilization 1, scaled to the recipe's
-	// batch count — a root-level sanity statistic, not a pruning bound.
+	// batch count — a root-level sanity statistic.
 	ComputeFloorSeconds float64
 }
 
@@ -90,113 +67,53 @@ type Result struct {
 	Stats Stats
 }
 
-// cellRef is one heap entry: a cell's admissible bound and identity.
-type cellRef struct {
-	lb  float64
-	id  string
-	idx int
-}
-
-// cellHeap is a min-heap over (lb, id) — the same lexicographic order the
-// incumbent comparison uses, so the peeked minimum is exactly the first
-// cell that could still improve the result.
-type cellHeap []cellRef
-
-func (h cellHeap) Len() int { return len(h) }
-func (h cellHeap) Less(i, j int) bool {
-	if h[i].lb != h[j].lb {
-		return h[i].lb < h[j].lb
-	}
-	return h[i].id < h[j].id
-}
-func (h cellHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cellHeap) Push(x any) { *h = append(*h, x.(cellRef)) }
-func (h *cellHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// Solve runs the branch-and-bound search over the scenario's cell space.
-// The scenario and options mean exactly what they mean to explore.Sweep —
+// Solve finds the optimal feasible cell of the scenario's space. The
+// scenario and options mean exactly what they mean to explore.Sweep —
 // including a supplied pre-compiled Session and CursorLo/CursorHi shard
-// ranges — and the returned Best matches the exhaustive sweep's ranking
-// front byte-for-byte (both nil when no cell is feasible).
+// ranges — and the returned Best is the front of the exhaustive sweep's
+// SortByTime ranking (nil when no cell is feasible).
 func Solve(sc explore.Scenario, opt explore.Options) (*Result, error) {
-	points, sess, err := explore.Layout(&sc, opt)
+	opt.KeepInvalid = true
+	points, err := explore.Sweep(sc, opt)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{}
+	res := &Result{Best: explore.Best(points)}
 	st := &res.Stats
 	st.CellsTotal = int64(len(points))
-	st.ComputeFloorSeconds = computeFloor(&sc, sess, opt)
-
-	pruned := pruneMemoryPrefixes(points, &sc, st)
-
-	h := make(cellHeap, 0, len(points))
 	for i := range points {
-		if pruned != nil && pruned[i] {
-			continue
-		}
-		p := &points[i]
-		if p.Err != nil {
+		switch {
+		case points[i].Err != nil:
 			st.CellsInfeasible++
-			continue
-		}
-		lb, err := explore.CellLowerBound(p, sess)
-		if err != nil {
-			// The full evaluation shares the bound's validation prefix and
-			// would fail with the identical error: bucket-2 in the sweep's
-			// ranking, never the optimum.
-			st.CellsInfeasible++
-			continue
-		}
-		h = append(h, cellRef{lb: lb, id: p.String(), idx: i})
-	}
-	heap.Init(&h)
-
-	bds := make([]model.Breakdown, len(points))
-	var bestRank float64
-	var bestID string
-	for h.Len() > 0 {
-		c := h[0]
-		if res.Best != nil &&
-			(c.lb > bestRank || (c.lb == bestRank && c.id > bestID)) {
-			// Admissibility: every remaining cell's true rank is >= its
-			// bound, and the bound already loses the (rank, id) tie-break
-			// against the incumbent. Nothing left can improve the result.
-			st.CellsBounded = int64(h.Len())
-			break
-		}
-		heap.Pop(&h)
-		p := &points[c.idx]
-		explore.EvaluateCell(p, &bds[c.idx], sess, &sc)
-		st.CellsExpanded++
-		if p.Err != nil || !p.Fits || p.Breakdown == nil {
-			continue
-		}
-		rank := float64(p.Breakdown.ExpectedTotalTime())
-		if res.Best == nil || rank < bestRank || (rank == bestRank && c.id < bestID) {
-			res.Best, bestRank, bestID = p, rank, c.id
+		case !points[i].Fits:
+			st.CellsPrunedMemory++
 		}
 	}
+	st.CellsExpanded = st.CellsTotal - st.CellsInfeasible
+	st.ComputeFloorSeconds = computeFloor(&sc, opt)
 	if res.Best != nil {
-		res.RankSeconds = bestRank
+		res.RankSeconds = float64(res.Best.Breakdown.ExpectedTotalTime())
 	}
 	return res, nil
 }
 
 // computeFloor derives the root-level compute-only statistic: the baseline
 // predictor's floor for the smallest swept batch at utilization 1, scaled
-// by the recipe's batch count. Purely informational (see the package
-// comment for why it is not an admissible pruning bound); any derivation
-// error simply reports 0.
-func computeFloor(sc *explore.Scenario, sess *model.Session, opt explore.Options) float64 {
+// by the recipe's batch count. Purely informational — its fixed
+// utilization and backward factor are not a bound on the
+// efficiency-derated analytical model — so any derivation error simply
+// reports 0. The recipe comes from the supplied session, or from compiling
+// the scenario's, so defaults resolve exactly as the sweep resolved them.
+func computeFloor(sc *explore.Scenario, opt explore.Options) float64 {
 	if len(opt.Batches) == 0 {
 		return 0
+	}
+	sess := sc.Session
+	if sess == nil {
+		var err error
+		if sess, err = model.Compile(sc.Model, sc.System, sc.Training, sc.Eff); err != nil {
+			return 0
+		}
 	}
 	minB := opt.Batches[0]
 	for _, b := range opt.Batches[1:] {
@@ -206,9 +123,9 @@ func computeFloor(sc *explore.Scenario, sess *model.Session, opt explore.Options
 	}
 	tr := sess.Training()
 	pred := &baseline.Predictor{
-		Model:       sc.Model,
-		Accel:       sc.System.Accel,
-		Workers:     sc.System.Nodes * sc.System.AccelsPerNode,
+		Model:       sess.Model(),
+		Accel:       sess.System().Accel,
+		Workers:     sess.System().Nodes * sess.System().AccelsPerNode,
 		Utilization: 1,
 	}
 	f, err := pred.ComputeFloor(minB, tr.BackwardComputeFactor)
@@ -216,39 +133,4 @@ func computeFloor(sc *explore.Scenario, sess *model.Session, opt explore.Options
 		return 0
 	}
 	return float64(f) * float64(tr.NumBatches)
-}
-
-// pruneMemoryPrefixes runs the (TP, PP) dominance test when the scenario
-// enables the memory model: a group whose parameter floor alone exceeds the
-// usable capacity cannot contain a fitting cell (every other footprint
-// component only adds), so all its cells are discarded unevaluated. Returns
-// nil when the memory model is off.
-func pruneMemoryPrefixes(points []explore.Point, sc *explore.Scenario, st *Stats) []bool {
-	if sc.Memory == nil {
-		return nil
-	}
-	type group struct{ tp, pp int }
-	maxDP := make(map[group]int)
-	for i := range points {
-		mp := points[i].Mapping
-		g := group{mp.TP(), mp.PP()}
-		if dp := mp.DP(); dp > maxDP[g] {
-			maxDP[g] = dp
-		}
-	}
-	usable := float64(sc.System.Accel.Memory) * (1 - sc.MemoryReserve)
-	infeasible := make(map[group]bool, len(maxDP))
-	for g, dp := range maxDP {
-		floor := memkit.ParamsFloor(sc.Model, g.tp, g.pp, dp, *sc.Memory)
-		infeasible[g] = float64(floor) > usable
-	}
-	pruned := make([]bool, len(points))
-	for i := range points {
-		mp := points[i].Mapping
-		if infeasible[group{mp.TP(), mp.PP()}] {
-			pruned[i] = true
-			st.CellsPrunedMemory++
-		}
-	}
-	return pruned
 }

@@ -47,8 +47,8 @@ type PlanPool struct {
 	Count int `json:"count"`
 }
 
-// PlanStats is plan.Stats on the wire: how much of the cell space the
-// branch-and-bound search actually touched.
+// PlanStats is plan.Stats on the wire: the census of the searched cell
+// space.
 type PlanStats struct {
 	CellsTotal        int64   `json:"cells_total"`
 	CellsPrunedMemory int64   `json:"cells_pruned_memory"`
@@ -199,8 +199,8 @@ func (s *Server) solvePlan(cp *compiledPlan) (PlanResponse, error) {
 	if err != nil {
 		return PlanResponse{}, &jobError{errClassBadRequest, err.Error()}
 	}
-	// Expanded cells are full evaluations — the same unit of work the sweep
-	// throughput metrics count.
+	// Expanded cells are successful evaluations — the same unit of work the
+	// sweep throughput metrics count.
 	s.met.sweepPoints.add(uint64(res.Stats.CellsExpanded))
 
 	resp := PlanResponse{
@@ -237,10 +237,9 @@ func (s *Server) solvePlan(cp *compiledPlan) (PlanResponse, error) {
 	return resp, nil
 }
 
-// handlePlan runs the branch-and-bound planner (internal/plan) over the
-// compiled session's cell space and returns the provably optimal design
-// point with the search's pruning statistics — the solver-grade counterpart
-// of /v1/sweep, admitted, cached and traced through the exact same
+// handlePlan runs the planner (internal/plan) over the compiled session's
+// cell space and returns the optimal design point with the space's census —
+// the best-cell counterpart of /v1/sweep, admitted, cached and traced through the exact same
 // machinery. When the request carries accelerator pools the heterogeneous
 // planner runs alongside and its optimum rides in the "hetero" section.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,8 @@
 // Package serve exposes the AMPeD analytical model as a hardened HTTP
 // service over PR 1's compiled evaluation sessions: POST /v1/evaluate prices
 // one design point, POST /v1/sweep runs a bounded design-space exploration,
-// POST /v1/plan runs the branch-and-bound planner over the same cell space,
-// and GET /healthz and /metrics make the process operable unattended.
+// POST /v1/plan returns the best cell of the same space, and GET /healthz
+// and /metrics make the process operable unattended.
 //
 // The service is stdlib-only and built for unattended operation:
 //

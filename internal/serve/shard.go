@@ -238,11 +238,8 @@ func (s *Server) handleSweepShard(w http.ResponseWriter, r *http.Request) {
 			_ = enc.Encode(ShardChunk{CursorLo: cur, CursorHi: hi, Error: err.Error()})
 			return
 		}
-		explore.SortByTime(points)
 		n := len(points)
-		if n > top {
-			points = points[:top]
-		}
+		points = explore.Top(points, top)
 		completed += int64(n)
 		s.met.sweepPoints.add(uint64(n))
 		if err := enc.Encode(ShardChunk{
@@ -562,4 +559,3 @@ func splitRanges(pending []shardRange, n int) [][]shardRange {
 	}
 	return groups
 }
-

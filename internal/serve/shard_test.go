@@ -306,16 +306,16 @@ func TestIntervalSetAdd(t *testing.T) {
 		dup    bool
 	}{
 		{0, 7, false},
-		{7, 14, false},   // adjacent: coalesces to [0, 14)
-		{7, 14, true},    // exact replay
-		{2, 9, true},     // contained straddling the old seam
-		{21, 28, false},  // disjoint
-		{12, 23, false},  // partial overlap bridging both: accepted whole
-		{0, 28, true},    // now fully covered
-		{28, 28, true},   // empty range adds nothing
-		{30, 35, false},  // new disjoint tail
-		{29, 30, false},  // fills up to the tail
-		{-3, 2, false},   // extends the front
+		{7, 14, false},  // adjacent: coalesces to [0, 14)
+		{7, 14, true},   // exact replay
+		{2, 9, true},    // contained straddling the old seam
+		{21, 28, false}, // disjoint
+		{12, 23, false}, // partial overlap bridging both: accepted whole
+		{0, 28, true},   // now fully covered
+		{28, 28, true},  // empty range adds nothing
+		{30, 35, false}, // new disjoint tail
+		{29, 30, false}, // fills up to the tail
+		{-3, 2, false},  // extends the front
 	}
 	for i, st := range steps {
 		if got := s.add(st.lo, st.hi); got != st.dup {
